@@ -6,9 +6,10 @@ blaschke-check, partition-check, sweep, plot.  Exit codes: 0 success,
 
 Configuration is a single INI file (stdlib configparser) with sections
 [model], [grid], [sweep], [checks], [output]; command-line flags override.
-Sweeps write a manifest keyed by config hash and skip completed points on
-rerun.  Plots are emitted as self-contained SVG plus a full-precision
-plot-data JSON, so no runtime plotting dependency is needed.
+Sweeps write a manifest keyed by the config hash and a hash of the maglab
+sources, and skip completed points on a rerun with both unchanged.  Plots
+are emitted as self-contained SVG plus a full-precision plot-data JSON, so
+no runtime plotting dependency is needed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
@@ -187,11 +189,14 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _code_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("artifact")
-    except Exception:
-        return "unknown"
+    """Hash of the maglab sources (*.py) and data tables (data/*.json), so
+    that cached sweep rows go stale when the code that made them changes."""
+    root = pathlib.Path(__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.glob("*.py")) + sorted(root.glob("data/*.json")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +268,7 @@ def cmd_splitting(cfg: RunConfig, args) -> int:
     print("E0     = %.12e" % res.energies[0])
     print("E1     = %.12e" % res.energies[1])
     print("Delta0 = %.12e" % res.delta)
+    print("path   = %s (parity defect %.2e)" % (res.path, res.parity_defect))
     if not res.cluster_separated:
         print("warning: two-level cluster poorly separated from E2",
               file=sys.stderr)
@@ -501,7 +507,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if os.path.isfile(manifest_path):
         with open(manifest_path) as fh:
             prev = json.load(fh)
-        if prev.get("config_hash") == cfg.config_hash:
+        if all(prev.get(key) == manifest[key]
+               for key in ("config_hash", "code_version")):
             manifest["points"] = prev.get("points", {})
 
     todo = []

@@ -1,7 +1,9 @@
 """Low eigenpairs of the lattice Hamiltonians and the Riesz spectral projector.
 
 The eigensolver is ARPACK (Lanczos) in shift-invert mode with a sparse LU; for
-tiny grids (n <= 48 per axis) a dense eigendecomposition is used instead.  The
+tiny grids (n <= 48 per axis) a dense eigendecomposition is used instead.
+Operators that commute with the grid reflection x -> -x split into half-size
+even and odd blocks (`parity_defect`, `parity_blocks`, `unfold_parity`).  The
 Riesz projector is the trapezoid quadrature of (1/2pi i) * contour integral of
 the resolvent, with one complex sparse LU per contour node (each factorization
 serves a conjugate pair of nodes).
@@ -62,44 +64,54 @@ class SpectralResult:
                 f.values.astype("<c16").tofile(fh)
 
 
-def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
-                maxiter: int = None, sigma: float = None) -> SpectralResult:
-    """k smallest eigenvalues with residual-verified eigenvectors.
+def _gershgorin_shift(op: SparseHermitianOp) -> float:
+    """A verified lower bound of the spectrum: every off-diagonal row sum of
+    the 5-point stencil is at most 4/h^2, so min(diag) - 4/h^2 bounds it
+    (Gershgorin); the extra 1 keeps the shift strictly below."""
+    h = op.grid.spacing
+    return float(np.min(op.matrix.diagonal().real)) - 4.0 / h ** 2 - 1.0
 
-    Deterministic for a given seed (the seed fixes the Lanczos starting vector).
-    sigma overrides the shift-invert target; it must lie strictly below the
-    lowest eigenvalue.  A shift close to the low cluster greatly reduces the
-    absolute eigenvalue error (~eps * |E - sigma|), which matters when the
-    quantity of interest is a tiny eigenvalue difference.
+
+def _shift_invert(M, k: int, sigma: float, seed: int,
+                  maxiter: int = None):
+    """(vals, vecs): the k eigenpairs of the Hermitian M nearest sigma,
+    ascending, by ARPACK in shift-invert mode.
+
+    Raises EigensolverError when ARPACK does not converge or when a returned
+    eigenvalue lies below sigma, i.e. sigma sits inside the spectrum.
+    """
+    N = M.shape[0]
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(N)
+    v0 /= np.linalg.norm(v0)
+    try:
+        vals, vecs = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
+                                maxiter=maxiter)
+    except spla.ArpackNoConvergence as err:
+        got = getattr(err, "eigenvalues", None)
+        raise EigensolverError(
+            "eigensolver did not converge (%d of %d values found)"
+            % (0 if got is None else len(got), k),
+            residuals=None) from err
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    if vals[0] < sigma:
+        raise EigensolverError(
+            "shift %.17g lies inside the spectrum: eigenvalue %.17g is below "
+            "it, so the values returned need not be the lowest"
+            % (sigma, vals[0]))
+    return vals, vecs
+
+
+def _verified_result(op: SparseHermitianOp, vals, vecs) -> SpectralResult:
+    """L2(grid)-normalized eigenpairs with their residuals ||H v - E v|| / ||v||
+    against the full operator and their orthogonality defect.
+
+    Nearly degenerate Ritz vectors can come out slightly non-orthogonal; they
+    are then re-orthonormalized within the computed subspace.
     """
     M = op.matrix
-    N = M.shape[0]
-    if k >= N:
-        raise ValueError("k must be much smaller than the dimension")
-
-    if op.grid.n <= DENSE_FALLBACK_N:
-        w, V = la.eigh(M.toarray())
-        vals, vecs = w[:k], V[:, :k]
-    else:
-        if sigma is None:
-            # shift below the spectrum: Gershgorin lower bound
-            h = op.grid.spacing
-            sigma = float(np.min(M.diagonal().real)) - 4.0 / h ** 2 - 1.0
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(N)
-        v0 /= np.linalg.norm(v0)
-        try:
-            vals, vecs = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
-                                    maxiter=maxiter)
-        except spla.ArpackNoConvergence as err:
-            got = getattr(err, "eigenvalues", None)
-            raise EigensolverError(
-                "eigensolver did not converge (%d of %d values found)"
-                % (0 if got is None else len(got), k),
-                residuals=None) from err
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-
+    k = len(vals)
     h2 = op.grid.spacing ** 2
     fields, residuals = [], []
     for j in range(k):
@@ -116,8 +128,6 @@ def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
     off = np.abs(G - np.diag(np.diag(G)))
     defect = float(np.max(off)) if k > 1 else 0.0
     if defect > 1e-8:
-        # nearly-degenerate Ritz vectors can come out slightly non-orthogonal;
-        # re-orthonormalize within the computed subspace
         w, U = la.eigh(G)
         coeff = U @ np.diag(1.0 / np.sqrt(w)) @ U.conj().T
         vecsn = np.stack([f.flat() for f in fields], axis=1) @ coeff
@@ -136,6 +146,81 @@ def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
                           eigenvectors=fields,
                           residuals=residuals,
                           orthogonality_defect=defect)
+
+
+def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
+                maxiter: int = None, sigma: float = None) -> SpectralResult:
+    """k smallest eigenvalues with residual-verified eigenvectors.
+
+    Deterministic for a given seed (the seed fixes the Lanczos starting vector).
+    sigma overrides the shift-invert target; it must lie strictly below the
+    lowest eigenvalue.  A shift close to the low cluster greatly reduces the
+    absolute eigenvalue error (~eps * |E - sigma|), which matters when the
+    quantity of interest is a tiny eigenvalue difference.
+
+    Shift-invert returns the k eigenvalues nearest sigma, so an EigensolverError
+    is raised when any of them lies below sigma.  That check is necessary, not
+    a proof: a shift inside the spectrum whose k nearest levels all lie above
+    it passes unnoticed.  The default shift, a Gershgorin lower bound of the
+    whole spectrum, makes the values returned the lowest.
+    """
+    M = op.matrix
+    N = M.shape[0]
+    if k >= N:
+        raise ValueError("k must be much smaller than the dimension")
+
+    if op.grid.n <= DENSE_FALLBACK_N:
+        w, V = la.eigh(M.toarray())
+        vals, vecs = w[:k], V[:, :k]
+    else:
+        if sigma is None:
+            sigma = _gershgorin_shift(op)
+        vals, vecs = _shift_invert(M, k, sigma, seed, maxiter=maxiter)
+    return _verified_result(op, vals, vecs)
+
+
+# ---------------------------------------------------------------------------
+# parity sectors of operators symmetric under x -> -x
+
+
+def _reflect(M) -> sp.csr_matrix:
+    """P M P for the grid reflection P: k -> N-1-k on the flat index, which
+    is (i, j) -> (n-1-i, n-1-j), i.e. x -> -x on the symmetric vertex grid."""
+    coo = M.tocoo()
+    N = M.shape[0]
+    return sp.csr_matrix((coo.data, (N - 1 - coo.row, N - 1 - coo.col)),
+                         shape=M.shape)
+
+
+def parity_defect(M) -> float:
+    """||M - P M P||_max: zero (up to rounding of the grid coordinates) when
+    the operator commutes with x -> -x."""
+    d = (M - _reflect(M)).tocsr()
+    return float(np.max(np.abs(d.data))) if d.nnz else 0.0
+
+
+def parity_blocks(M):
+    """(H_even, H_odd): the half-size blocks of S = (M + P M P) / 2 on the
+    even and odd fields, H_+- = S[:m, :m] +- S[:m, m:] J with m = N/2 and J
+    the reversal of m indices.
+
+    An even (odd) field is v = [u; +-J u] / sqrt(2), see `unfold_parity`.
+    Since S is the symmetrised operator, the antisymmetric part dropped with
+    it moves the eigenvalues of M only at second order.
+    """
+    N = M.shape[0]
+    m = N // 2
+    S = (0.5 * (M + _reflect(M))).tocsr()
+    A = S[:m, :m]
+    B = S[:m, m:].tocoo()
+    BJ = sp.csr_matrix((B.data, (B.row, m - 1 - B.col)), shape=(m, m))
+    return (A + BJ).tocsr(), (A - BJ).tocsr()
+
+
+def unfold_parity(u: np.ndarray, sign: int) -> np.ndarray:
+    """Full-size fields [u; sign * J u] / sqrt(2) from the columns of a
+    parity-block eigenvector array u (sign +1 even, -1 odd)."""
+    return np.concatenate([u, sign * u[::-1]], axis=0) / np.sqrt(2.0)
 
 
 @dataclass

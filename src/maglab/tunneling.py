@@ -4,7 +4,10 @@ quasimode reduction connecting them.
 rho0 = lam^2 * integral of conj(phi0(x+d)) v(x+d) e^{i b lam d1 x2} phi0(x-d),
 with d = (d1, 0) and phi0 the single-well ground state (well at the origin),
 regauged so its overlap with the closed-form oscillator ground state is
-positive.  Delta0 = E1 - E0 of the double-well operator.  The quasimodes are
+positive.  Delta0 = E1 - E0 of the double-well operator; when the operator
+commutes with x -> -x (symmetric wells, symmetric gauge) E0 and E1 are the
+ground levels of its even and odd parts, and `splitting_direct` solves the two
+half-size parity blocks instead of the full lattice.  The quasimodes are
 Riesz projections of magnetically translated, cut-off oscillator ground
 states; their 2x2 Gramian G and energy matrix M reproduce the splitting
 through sqrt(sigma)/|det G| with sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
@@ -23,8 +26,11 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
                          WellSpec, build_operator, choose_grid,
                          magnetic_translate, well_values)
 from .mho_kernels import MHOParams, ground_state
-from .spectral import (Contour, SpectralResult, contour_for_ground,
-                       lowest_eigs, projector_rank_estimate, riesz_project)
+from .spectral import (DENSE_FALLBACK_N, Contour, EigensolverError,
+                       SpectralResult, _gershgorin_shift, _shift_invert,
+                       _verified_result, contour_for_ground, lowest_eigs,
+                       parity_blocks, parity_defect, projector_rank_estimate,
+                       riesz_project, unfold_parity)
 
 
 class GroundStateError(ValueError):
@@ -308,37 +314,100 @@ def gram_and_m(psi_minus: Field, psi_plus: Field, op: SparseHermitianOp,
 # direct splitting and the ratio report
 
 
+# symmetry test of splitting_direct, relative to max|H|: rounding of the grid
+# coordinates leaves defects of ~1e-15 relative, a shifted gauge origin or
+# unequal wells O(1)
+PARITY_RTOL = 1e-13
+# agreement required of the two passes on a sector's ground level: they agree
+# to ~1e-12 absolute at lam = 16..22, while distinct levels lie O(1) apart
+GROUND_REPRODUCE_RTOL = 1e-9
+
+
 @dataclass
 class SplittingResult:
     delta: float
     energies: List[float]
     spectral: SpectralResult
     cluster_separated: bool
+    path: str               # "parity" (even/odd sector solve) or "full"
+    parity_defect: float    # ||H - PHP||_max, P: x -> -x
 
 
 def splitting_direct(op: SparseHermitianOp, seed: int = 0,
-                     separation_factor: float = 2.0,
-                     refine_shift: bool = True) -> SplittingResult:
+                     separation_factor: float = 2.0) -> SplittingResult:
     """Delta0 = E1 - E0 with E2 monitoring the gap to the rest of the
     spectrum; warns when the 2-cluster is not cleanly separated.
 
-    With refine_shift, a second shift-invert pass targets just below the
-    computed cluster: the absolute eigenvalue error scales with the distance
-    to the shift, and the splitting can be many orders smaller than E0.
+    When H commutes with the grid reflection P (x -> -x), which holds for the
+    symmetric double well in the symmetric gauge, E0 and E1 are the ground
+    levels of its even and odd parts.  The "parity" path then solves the two
+    half-size sector blocks: a k = 1 shift-invert pass per sector from the
+    Gershgorin lower bound of the spectrum, then a k = 2 pass per sector just
+    below the pair, whose ground must reproduce the first pass (the check that
+    it is the lowest level); E2 is the smaller second in-sector level.  The
+    eigenvectors are unfolded to full-size fields and their residuals measured
+    against the full H.
+
+    The "full" path, taken for asymmetric operators (a shifted gauge origin,
+    unequal or off-axis wells), tiny grids (n <= DENSE_FALLBACK_N), and a pair
+    lying within one sector, solves H itself: a k = 3 pass from the
+    Gershgorin bound, then a second one just below the computed cluster.  In
+    both paths the second pass matters because the absolute eigenvalue error
+    scales with the distance to the shift, and the splitting can be many
+    orders smaller than E0.
     """
-    res = lowest_eigs(op, k=3, seed=seed)
+    defect = parity_defect(op.matrix)
+    res = None
+    if (op.grid.n > DENSE_FALLBACK_N
+            and defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))):
+        res = _parity_levels(op, seed)
+    path = "full" if res is None else "parity"
+    if res is None:
+        res = _full_levels(op, seed)
     e0, e1, e2 = res.eigenvalues
-    if refine_shift:
-        margin = max(e2 - e0, 1e-8 * max(abs(e0), 1.0))
-        res = lowest_eigs(op, k=3, seed=seed, sigma=e0 - margin)
-        e0, e1, e2 = res.eigenvalues
     delta = e1 - e0
     separated = (e2 - e1) > separation_factor * max(delta, 1e-300)
     if not separated:
         warnings.warn("cluster gap E2-E1 = %.3g does not dominate the "
                       "splitting %.3g" % (e2 - e1, delta))
     return SplittingResult(delta=float(delta), energies=[e0, e1, e2],
-                           spectral=res, cluster_separated=separated)
+                           spectral=res, cluster_separated=separated,
+                           path=path, parity_defect=defect)
+
+
+def _full_levels(op: SparseHermitianOp, seed: int) -> SpectralResult:
+    """E0..E2 of H itself, the second pass shifted just below the cluster."""
+    res = lowest_eigs(op, k=3, seed=seed)
+    e0, e1, e2 = res.eigenvalues
+    margin = max(e2 - e0, 1e-8 * max(abs(e0), 1.0))
+    return lowest_eigs(op, k=3, seed=seed, sigma=e0 - margin)
+
+
+def _parity_levels(op: SparseHermitianOp,
+                   seed: int) -> Optional[SpectralResult]:
+    """E0..E2 from the even and odd blocks of H, or None when the two lowest
+    levels are not one ground level per sector."""
+    blocks = parity_blocks(op.matrix)            # (even, odd)
+    lower = _gershgorin_shift(op)
+    grounds = [_shift_invert(B, 1, lower, seed)[0][0] for B in blocks]
+    e0 = min(grounds)
+    sigma = e0 - max(abs(grounds[1] - grounds[0]), 1e-8 * max(abs(e0), 1.0))
+    levels = []                                  # (E, rank in sector, field)
+    for B, g, sign in zip(blocks, grounds, (1, -1)):
+        vals, vecs = _shift_invert(B, 2, sigma, seed)
+        # the first pass started below the whole spectrum, so its value is
+        # the sector's lowest level; the second must find the same one
+        if abs(vals[0] - g) > GROUND_REPRODUCE_RTOL * max(abs(g), 1.0):
+            raise EigensolverError(
+                "parity sector %+d: ground level %.17g near the pair differs "
+                "from %.17g found from below the spectrum" % (sign, vals[0], g))
+        levels += [(vals[j], j, unfold_parity(vecs[:, j], sign))
+                   for j in range(2)]
+    levels.sort(key=lambda lv: lv[0])
+    if levels[0][1] != 0 or levels[1][1] != 0:
+        return None
+    return _verified_result(op, np.array([lv[0] for lv in levels[:3]]),
+                            np.stack([lv[2] for lv in levels[:3]], axis=1))
 
 
 RATIO_CSV_COLUMNS = ["lambda", "b", "d1", "E0", "E1", "Delta", "abs_rho",

@@ -4,6 +4,7 @@ caching, CSV/plot round-trips, and the cheap check suites."""
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_invalid_model_exits_config_code(capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_splitting_reports_solver_path(capsys):
+    rc = cli.main(["splitting", "--lam", "2", "--a", "0.3", "--d1", "0.35",
+                   "--grid-n", "50"])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert "Delta0 = " in out
+    assert "path   = parity (parity defect " in out
+
+
 def test_partition_check_suite_passes(capsys):
     rc = cli.main(["partition-check"])
     assert rc == EXIT_OK
@@ -118,6 +128,16 @@ def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys):
     assert rc == EXIT_OK
     assert "cache hit" in capsys.readouterr().out
 
+    # rows made by other code are stale: the point is computed again
+    manifest["code_version"] = "0" * 16
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    rc = cli.main(["sweep", "--config", config])
+    assert rc == EXIT_OK
+    assert "cache hit" not in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["code_version"] == cli._code_version()
+    assert len(manifest["points"]) == 1
+
     # plots plus full-precision sidecar data
     rc = cli.main(["plot", "--config", config])
     assert rc == EXIT_OK
@@ -133,6 +153,24 @@ def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys):
                     SWEEP_INI.format(out=out) + "\n# comment\n")
     cfg2 = load_config(config2)
     assert cfg2.config_hash != load_config(config).config_hash
+
+
+def test_code_version_hashes_sources_and_data(tmp_path, monkeypatch):
+    pkg = tmp_path / "maglab"
+    shutil.copytree(os.path.dirname(cli.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cli, "__file__", str(pkg / "cli.py"))
+    base = cli._code_version()
+    assert base == cli._code_version()
+    seen = {base}
+    for name in ("spectral.py", "data/landau_constants.json"):
+        path = pkg / name
+        text = path.read_bytes()
+        path.write_bytes(text + b"\n")
+        seen.add(cli._code_version())
+        path.write_bytes(text)
+        assert cli._code_version() == base
+    assert len(seen) == 3
 
 
 def test_plot_without_results_warns(tmp_path, capsys):

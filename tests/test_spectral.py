@@ -7,7 +7,9 @@ import scipy.linalg as la
 
 from maglab.grid_model import Field, Grid2D, ModelParams, build_operator
 from maglab.spectral import (
+    DENSE_FALLBACK_N,
     Contour,
+    EigensolverError,
     contour_for_ground,
     lowest_eigs,
     projector_rank_estimate,
@@ -50,6 +52,18 @@ def test_lowest_eigs_rejects_large_k():
     op = make_op(n=20)
     with pytest.raises(ValueError):
         lowest_eigs(op, k=400)
+
+
+def test_lowest_eigs_rejects_shift_inside_spectrum():
+    op = make_op(n=56)
+    assert op.grid.n > DENSE_FALLBACK_N          # the ARPACK path
+    w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 2])
+    # below the spectrum the shift gives the lowest levels ...
+    res = lowest_eigs(op, k=2, sigma=w[0] - 1.0)
+    np.testing.assert_allclose(res.eigenvalues, w[:2], rtol=1e-10)
+    # ... between E0 and E1 the nearest two include E0 < sigma
+    with pytest.raises(EigensolverError, match="inside the spectrum"):
+        lowest_eigs(op, k=2, sigma=0.5 * (w[0] + w[1]))
 
 
 def test_contour_for_ground_geometry():

@@ -1,6 +1,7 @@
 """Hopping coefficient and 2x2 reduction: gauge/phase invariances of |rho0|,
-the generalized-eigenvalue oracle for the splitting formula, and the ratio
-report plumbing."""
+the generalized-eigenvalue oracle for the splitting formula, the parity-sector
+splitting solve against the full-operator one, and the ratio report
+plumbing."""
 
 import math
 from dataclasses import replace
@@ -12,16 +13,19 @@ import scipy.linalg as la
 from maglab.grid_model import (
     Grid2D,
     ModelParams,
+    SparseHermitianOp,
     WellSpec,
     build_operator,
     choose_grid,
 )
-from maglab.spectral import lowest_eigs
+from maglab.spectral import DENSE_FALLBACK_N, lowest_eigs
 from maglab.tunneling import (
+    PARITY_RTOL,
     DegenerateQuasimodeError,
     GroundStateError,
     RATIO_CSV_COLUMNS,
     RatioRow,
+    _full_levels,
     cutoff_field,
     hopping_coefficient,
     mho_contour_energies,
@@ -30,6 +34,7 @@ from maglab.tunneling import (
     read_ratio_csv,
     reduction_from_matrices,
     single_well_ground,
+    splitting_direct,
     write_ratio_csv,
 )
 
@@ -179,6 +184,92 @@ def test_ground_state_close_to_oscillator_gaussian(ground_b):
     # the overlap is dominant but not close to 1; the hopping phase
     # convention only needs it to stay safely away from zero
     assert overlap > 0.5
+
+
+def small_double_well(b, gauge_origin=(0.0, 0.0)):
+    """Symmetric double well on the smallest grid that takes the ARPACK path
+    (h*lam = 0.41; at this size it is a weakly perturbed box)."""
+    params = ModelParams(lam=2.0, b=b, d1=0.35, a=0.3)
+    grid = choose_grid(params, DENSE_FALLBACK_N + 2, double_well=True,
+                       pad=0.1)
+    d1s = float(grid.snap([params.d1, 0.0])[0])
+    spec = WellSpec.radial(params.a)
+    return build_operator(replace(params, d1=d1s), grid,
+                          wells=[(spec, (-d1s, 0.0)), (spec, (d1s, 0.0))],
+                          gauge_origin=gauge_origin)
+
+
+def assert_levels_match(sd, ref):
+    """sd: SplittingResult, ref: SpectralResult of the full-operator path."""
+    ref_delta = ref.eigenvalues[1] - ref.eigenvalues[0]
+    assert abs(sd.delta - ref_delta) <= 1e-10 * ref_delta
+    for e, e_ref in zip(sd.energies, ref.eigenvalues):
+        assert abs(e - e_ref) <= 1e-9 * max(1.0, abs(e_ref))
+
+
+def full_residuals(op, spectral):
+    """||H v - E v|| / ||v|| of each returned pair, against the full H."""
+    out = []
+    for e, f in zip(spectral.eigenvalues, spectral.eigenvectors):
+        v = f.flat()
+        out.append(np.linalg.norm(op.matrix @ v - e * v) / np.linalg.norm(v))
+    return out
+
+
+@pytest.mark.parametrize("b", [0.05, 0.0])
+def test_splitting_parity_path_matches_full_operator(b):
+    op = small_double_well(b)
+    # at this size E2 crowds the pair: the cluster-gap warning must stay
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0)
+    assert sd.path == "parity"
+    assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
+    assert_levels_match(sd, _full_levels(op, 0))
+    assert max(full_residuals(op, sd.spectral)) <= 1e-8
+    assert sd.spectral.orthogonality_defect <= 1e-8
+    # E0 and E1 are one even and one odd field under x -> -x
+    parities = sorted(
+        round(float(np.vdot(v, v[::-1]).real / np.vdot(v, v).real))
+        for v in (f.flat() for f in sd.spectral.eigenvectors[:2]))
+    assert parities == [-1, 1]
+
+
+def test_splitting_asymmetric_gauge_takes_full_path():
+    op = small_double_well(0.05, gauge_origin=(0.25, -0.15))
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0)
+    assert sd.path == "full"
+    assert sd.parity_defect > 0.1
+    ref = _full_levels(op, 0)
+    assert sd.energies == ref.eigenvalues
+    assert sd.delta == ref.eigenvalues[1] - ref.eigenvalues[0]
+    assert max(full_residuals(op, sd.spectral)) <= 1e-8
+    # a gauge transform leaves the spectrum alone: the symmetric-gauge
+    # operator, solved by parity sectors, has the same levels
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sym = splitting_direct(small_double_well(0.05), seed=0)
+    assert_levels_match(sym, ref)
+
+
+def test_splitting_pair_within_one_sector_takes_full_path():
+    # two even two-site wells -depth * e e^T, e = (delta_k + delta_{N-1-k}) /
+    # sqrt(2), put both lowest levels in the even sector while P still
+    # commutes with H; shallow enough that every level stays above the
+    # lattice's Gershgorin shift
+    op = small_double_well(0.05)
+    N = op.dimension
+    H = op.matrix.tolil()
+    for k, depth in ((N // 3, 60.0), (N // 5, 50.0)):
+        for i in (k, N - 1 - k):
+            for j in (k, N - 1 - k):
+                H[i, j] -= depth / 2
+    op = SparseHermitianOp(matrix=H.tocsr(), grid=op.grid, params=op.params,
+                           n_wells=op.n_wells)
+    sd = splitting_direct(op, seed=0)
+    assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
+    assert sd.path == "full"
+    assert_levels_match(sd, _full_levels(op, 0))
+    assert max(full_residuals(op, sd.spectral)) <= 1e-8
 
 
 def test_ratio_csv_roundtrip(tmp_path):
