@@ -28,7 +28,7 @@ from .landau_kernels import (DecayFit, apply_landau_resolvent,
 from .tunneling import (HoppingResult, QuasimodePair, RatioRow,
                         SplittingResult, TwoByTwoReduction, gram_and_m,
                         hopping_coefficient, mho_reference, quasimodes,
-                        ratio_point, ratio_report, reduction_from_matrices,
+                        ratio_point, reduction_from_matrices,
                         single_well_ground, splitting_direct)
 from .blaschke import (BlaschkeZeroSet, HerglotzMeasure,
                        LowerBoundCertificate, avg_mfun, avg_neg_log,

@@ -7,6 +7,25 @@ even and odd blocks (`parity_defect`, `parity_blocks`, `unfold_parity`).  The
 Riesz projector is the trapezoid quadrature of (1/2pi i) * contour integral of
 the resolvent, with one complex sparse LU per contour node (each factorization
 serves a conjugate pair of nodes).
+
+Every sparse LU, of a contour node or of a shift-invert M - sigma I, comes from
+`_factor`: SuperLU with the minimum-degree ordering of A^T + A.  The lattice
+operators are structurally symmetric 5-point matrices, where that ordering
+gives about half the fill of SuperLU's default, COLAMD (a contour LU at
+N = 18 496: 0.76M instead of 1.50M nonzeros), so factorizations and solves
+take less time and memory at the same residual.  Shift-invert hands its
+factorization to ARPACK as `OPinv`, since ARPACK's own LU uses COLAMD.
+
+A projection sweeps the m/2 nodes once for a block of right-hand sides,
+factorizing each node and dropping its LU before the next, so one contour LU
+is alive at a time.  The m/2 factors are not kept across sweeps: at about
+15 MB each (N = 18 496; 30 MB under COLAMD), m/2 = 16 of them would add about
+240 MB to a process that otherwise peaks near 190 MB.
+`riesz_project_with_rank` projects fields f and checks the projector's rank
+in two sweeps: the first projects the rank probes Z together with f, the
+second the orthonormal range Q of Pi Z together with Pi f (for the
+idempotence check).  The deflated Hutch++ term needs Pi applied to
+Z - Q Q* Z, which the linear trapezoid sum gives as Pi Z - (Pi Q) Q* Z.
 """
 
 from __future__ import annotations
@@ -53,29 +72,29 @@ class SpectralResult:
         with open(path, "w") as fh:
             json.dump(self.to_bundle(**metadata), fh, indent=1)
 
-    def save_vectors(self, path) -> None:
-        """Binary array file: little-endian header (n, k, spacing) + data."""
-        k = len(self.eigenvectors)
-        grid = self.eigenvectors[0].grid
-        with open(path, "wb") as fh:
-            np.array([grid.n, k], dtype="<i8").tofile(fh)
-            np.array([grid.spacing], dtype="<f8").tofile(fh)
-            for f in self.eigenvectors:
-                f.values.astype("<c16").tofile(fh)
-
 
 def _gershgorin_shift(op: SparseHermitianOp) -> float:
-    """A verified lower bound of the spectrum: every off-diagonal row sum of
-    the 5-point stencil is at most 4/h^2, so min(diag) - 4/h^2 bounds it
-    (Gershgorin); the extra 1 keeps the shift strictly below."""
-    h = op.grid.spacing
-    return float(np.min(op.matrix.diagonal().real)) - 4.0 / h ** 2 - 1.0
+    """A verified lower bound of the spectrum: min_i (Re H_ii - sum_{j != i}
+    |H_ij|), read from the matrix (Gershgorin); the extra 1 keeps the shift
+    strictly below."""
+    M = op.matrix
+    diag = M.diagonal()
+    radius = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min(diag.real - radius)) - 1.0
+
+
+def _factor(A):
+    """Sparse LU of A, ordered by minimum degree on A^T + A (see the module
+    docstring).  It calls the `spla.splu` attribute, so that a wrapper set
+    there sees every factorization maglab makes."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def _shift_invert(M, k: int, sigma: float, seed: int,
                   maxiter: int = None):
     """(vals, vecs): the k eigenpairs of the Hermitian M nearest sigma,
-    ascending, by ARPACK in shift-invert mode.
+    ascending, by ARPACK in shift-invert mode on the `_factor` LU of
+    M - sigma I.
 
     Raises EigensolverError when ARPACK does not converge or when a returned
     eigenvalue lies below sigma, i.e. sigma sits inside the spectrum.
@@ -84,9 +103,11 @@ def _shift_invert(M, k: int, sigma: float, seed: int,
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(N)
     v0 /= np.linalg.norm(v0)
+    lu = _factor(M - sigma * sp.identity(N, dtype=M.dtype, format="csr"))
+    OPinv = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     try:
         vals, vecs = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
-                                maxiter=maxiter)
+                                maxiter=maxiter, OPinv=OPinv)
     except spla.ArpackNoConvergence as err:
         got = getattr(err, "eigenvalues", None)
         raise EigensolverError(
@@ -265,11 +286,12 @@ class ContourSolveError(RuntimeError):
 
 def _project_once(op: SparseHermitianOp, contour: Contour, vecs: np.ndarray,
                   m: int) -> np.ndarray:
-    """Trapezoid Riesz projection applied to the columns of vecs.
+    """One sweep: the trapezoid Riesz projection of the columns of vecs.
 
     Pi f = (1/2pi i) oint (z - H)^{-1} f dz = (radius/m) sum_j xi_j (z_j-H)^{-1} f.
     One LU factorization at z also serves the node conj(z) via a transposed
-    solve, since H is Hermitian.
+    solve, since H is Hermitian.  Each LU is dropped before the next node is
+    factorized, so one is alive at a time.
     """
     M = op.matrix
     N = M.shape[0]
@@ -280,16 +302,52 @@ def _project_once(op: SparseHermitianOp, contour: Contour, vecs: np.ndarray,
     for j in range(half):
         z, xi = zs[j], xis[j]
         try:
-            lu = spla.splu((z * eye - M).tocsc())
-        except Exception as exc:  # singular factorization
-            raise ContourSolveError(z, str(exc))
+            lu = _factor(z * eye - M)
+        except RuntimeError as exc:  # singular factorization
+            raise ContourSolveError(z, str(exc)) from exc
         sol = lu.solve(vecs)
         acc += xi * sol
         # conjugate node: z' = conj(z) appears at index m-1-j with xi' = conj(xi);
         # (conj(z) - H)^{-1} f = conj((z - H)^{-T} conj(f)) since H is Hermitian
         sol_c = np.conj(lu.solve(np.conj(vecs), trans="T"))
         acc += np.conj(xi) * sol_c
+        del lu
     return (contour.radius / m) * acc
+
+
+def _field_columns(f):
+    """(single, vecs): whether f is one Field, and its fields as columns."""
+    single = isinstance(f, Field)
+    fields = [f] if single else list(f)
+    return single, np.stack([g.flat() for g in fields], axis=1)
+
+
+def _as_fields(grid, vecs: np.ndarray, single: bool):
+    out = [field_from_flat(grid, vecs[:, j]) for j in range(vecs.shape[1])]
+    return out[0] if single else out
+
+
+def _until_idempotent(op: SparseHermitianOp, contour: Contour,
+                      vecs: np.ndarray, p1: np.ndarray, p2: np.ndarray,
+                      m: int, idempotence_tol: float = 1e-8,
+                      max_doublings: int = 4) -> np.ndarray:
+    """Pi_m vecs at the first m whose idempotence defect
+    ||Pi_m(Pi_m f) - Pi_m f|| <= tol * ||f|| holds for every column f.
+
+    (p1, p2) = (Pi_m vecs, Pi_m p1) at the starting m; each doubling of m
+    sweeps the fields twice more.
+    """
+    norms = np.linalg.norm(vecs, axis=0)
+    for doubling in range(max_doublings + 1):
+        if doubling:
+            m *= 2
+            p1 = _project_once(op, contour, vecs, m)
+            p2 = _project_once(op, contour, p1, m)
+        defect = np.max(np.linalg.norm(p2 - p1, axis=0) / norms)
+        if defect <= idempotence_tol:
+            return p1
+    raise RuntimeError("projector idempotence defect %.3g > %.3g even at "
+                       "m=%d nodes" % (defect, idempotence_tol, m))
 
 
 def riesz_project(op: SparseHermitianOp, contour: Contour, f,
@@ -299,46 +357,80 @@ def riesz_project(op: SparseHermitianOp, contour: Contour, f,
     The node count starts at contour.quadrature_nodes and is doubled until the
     projector idempotence defect ||Pi(Pi f) - Pi f|| <= tol * ||f||.
     """
-    single = isinstance(f, Field)
-    fields = [f] if single else list(f)
-    vecs = np.stack([g.flat() for g in fields], axis=1)
-    norms = np.linalg.norm(vecs, axis=0)
-
+    single, vecs = _field_columns(f)
     m = contour.quadrature_nodes
-    for _ in range(max_doublings + 1):
-        p1 = _project_once(op, contour, vecs, m)
-        p2 = _project_once(op, contour, p1, m)
-        defect = np.max(np.linalg.norm(p2 - p1, axis=0) / norms)
-        if defect <= idempotence_tol:
-            break
-        m *= 2
-    else:
-        raise RuntimeError("projector idempotence defect %.3g > %.3g even at "
-                           "m=%d nodes" % (defect, idempotence_tol, m))
+    p1 = _project_once(op, contour, vecs, m)
+    p2 = _project_once(op, contour, p1, m)
+    p1 = _until_idempotent(op, contour, vecs, p1, p2, m, idempotence_tol,
+                           max_doublings)
+    return _as_fields(op.grid, p1, single)
 
-    out = [field_from_flat(op.grid, p1[:, j]) for j in range(p1.shape[1])]
-    return out[0] if single else out
+
+def _rank_probes(N: int, probes: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], size=(N, probes)).astype(complex)
+
+
+def _deflated_trace(Z: np.ndarray, Y: np.ndarray, Q: np.ndarray,
+                    PQ: np.ndarray) -> float:
+    """Hutch++ trace of Pi from Y = Pi Z and PQ = Pi Q, Q = orth(Y).
+
+    The range term tr(Q* Pi Q) carries the whole trace of a projector of
+    rank <= probes; the Hutchinson term on the deflated probes
+    G = Z - Q (Q* Z) only corrects quadrature leakage.  Pi G is
+    Y - PQ (Q* Z): the trapezoid Pi_m is linear, so no sweep over G is
+    needed.
+    """
+    C = Q.conj().T @ Z
+    G = Z - Q @ C
+    PG = Y - PQ @ C
+    t_range = float(np.trace(Q.conj().T @ PQ).real)
+    t_resid = float(np.mean(np.sum(np.conj(G) * PG, axis=0).real))
+    return t_range + t_resid
 
 
 def projector_rank_estimate(op: SparseHermitianOp, contour: Contour,
                             probes: int = 8, seed: int = 0) -> float:
-    """Trace estimate of the Riesz projector via random probes.
+    """Trace estimate of the Riesz projector via random probes, in two
+    sweeps (over Z, then over Q = orth(Pi Z)).
 
-    Deflated (Hutch++-style) estimator: the projector applied to a random
-    probe block captures its low-rank range exactly, so the range term
-    tr(Q* Pi Q) carries the whole trace and the residual Hutchinson term on
-    the deflated probes only corrects quadrature leakage.  For a projector of
-    rank <= probes the variance is negligible, unlike plain Hutchinson whose
-    per-probe variance is O(rank)."""
-    N = op.matrix.shape[0]
+    Deflated (Hutch++-style) estimator, see `_deflated_trace`: for a
+    projector of rank <= probes the variance is negligible, unlike plain
+    Hutchinson whose per-probe variance is O(rank)."""
     m = contour.quadrature_nodes
-    rng = np.random.default_rng(seed)
-    Z = rng.choice([-1.0, 1.0], size=(N, probes)).astype(complex)
+    Z = _rank_probes(op.matrix.shape[0], probes, seed)
     Y = _project_once(op, contour, Z, m)
     Q, _ = np.linalg.qr(Y)
-    PQ = _project_once(op, contour, Q, m)
-    t_range = float(np.trace(Q.conj().T @ PQ).real)
-    G = Z - Q @ (Q.conj().T @ Z)
-    PG = _project_once(op, contour, G, m)
-    t_resid = float(np.mean(np.sum(np.conj(G) * PG, axis=0).real))
-    return t_range + t_resid
+    return _deflated_trace(Z, Y, Q, _project_once(op, contour, Q, m))
+
+
+class ClusterError(RuntimeError):
+    """The contour does not enclose a spectral cluster of the expected rank."""
+
+
+def riesz_project_with_rank(op: SparseHermitianOp, contour: Contour, f,
+                            rank: int, rank_tol: float = 0.1,
+                            probes: int = 8, seed: int = 0):
+    """(projected fields, rank estimate): `riesz_project` of f and
+    `projector_rank_estimate` in the same two sweeps over the nodes.
+
+    Sweep 1 projects [Z | f], sweep 2 [Q | Pi f] with Q = orth(Pi Z).  A
+    ClusterError is raised when the estimate is farther than rank_tol from
+    rank, before any doubling; a failed idempotence check then doubles m for
+    the fields alone, as in `riesz_project` with its default tolerance.
+    """
+    single, vecs = _field_columns(f)
+    m = contour.quadrature_nodes
+    Z = _rank_probes(vecs.shape[0], probes, seed)
+    Y, p1 = np.hsplit(_project_once(op, contour, np.hstack([Z, vecs]), m),
+                      [probes])
+    Q, _ = np.linalg.qr(Y)
+    PQ, p2 = np.hsplit(_project_once(op, contour, np.hstack([Q, p1]), m),
+                       [Q.shape[1]])
+    estimate = _deflated_trace(Z, Y, Q, PQ)
+    if abs(estimate - rank) > rank_tol:
+        raise ClusterError("projector rank estimate %.3f is not %d "
+                           "(contour center %s radius %g)"
+                           % (estimate, rank, contour.center, contour.radius))
+    p1 = _until_idempotent(op, contour, vecs, p1, p2, m)
+    return _as_fields(op.grid, p1, single), estimate

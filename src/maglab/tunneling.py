@@ -26,19 +26,16 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
                          WellSpec, build_operator, choose_grid,
                          magnetic_translate, well_values)
 from .mho_kernels import MHOParams, ground_state
+from .spectral import ClusterError  # noqa: F401  (raised by quasimodes)
 from .spectral import (DENSE_FALLBACK_N, Contour, EigensolverError,
                        SpectralResult, _gershgorin_shift, _shift_invert,
                        _verified_result, contour_for_ground, lowest_eigs,
-                       parity_blocks, parity_defect, projector_rank_estimate,
-                       riesz_project, unfold_parity)
+                       parity_blocks, parity_defect, riesz_project,
+                       riesz_project_with_rank, unfold_parity)
 
 
 class GroundStateError(ValueError):
     """The supplied single-well ground state is missing residual verification."""
-
-
-class ClusterError(RuntimeError):
-    """The contour does not enclose a rank-2 spectral cluster."""
 
 
 class DegenerateQuasimodeError(RuntimeError):
@@ -218,23 +215,20 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp,
                check_rank: bool = True, rank_tol: float = 0.1,
                rank_probes: int = 6, seed: int = 0) -> QuasimodePair:
     """psi_{+-d} = Riesz projection of the translated, cut-off oscillator
-    ground state R^{+-d} chi(X) psi0_mho, each normalized before projection."""
+    ground state R^{+-d} chi(X) psi0_mho, each normalized before projection.
+
+    With check_rank, the projector's rank is estimated from rank_probes
+    random probes in the same two sweeps over the m/2 contour nodes that
+    project the pair (`riesz_project_with_rank`): 2 * m/2 LUs, one alive at
+    a time.  A ClusterError is raised unless the estimate is within rank_tol
+    of 2; a failed idempotence check doubles m for the pair alone.
+    """
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid = op.grid
     pref = mho_reference(params, spec)
     if contour is None:
         e0, e1 = mho_contour_energies(pref)
         contour = contour_for_ground(params, e0, e1)
-
-    if check_rank:
-        rank = projector_rank_estimate(op, contour, probes=rank_probes,
-                                       seed=seed)
-        if abs(rank - 2.0) > rank_tol:
-            raise ClusterError("projector rank estimate %.3f is not 2 "
-                               "(contour center %s radius %g)"
-                               % (rank, contour.center, contour.radius))
-    else:
-        rank = None
 
     lam = float(np.real(params.lam))
     blam = params.b * lam
@@ -245,8 +239,14 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp,
     phi_plus = magnetic_translate(base, (+d1s, 0.0), blam)
     phi_minus = magnetic_translate(base, (-d1s, 0.0), blam)
 
-    proj = riesz_project(op, contour, [phi_minus, phi_plus])
-    psi_minus, psi_plus = proj
+    if check_rank:
+        (psi_minus, psi_plus), rank = riesz_project_with_rank(
+            op, contour, [phi_minus, phi_plus], rank=2, rank_tol=rank_tol,
+            probes=rank_probes, seed=seed)
+    else:
+        psi_minus, psi_plus = riesz_project(op, contour,
+                                            [phi_minus, phi_plus])
+        rank = None
     return QuasimodePair(
         psi_minus=psi_minus, psi_plus=psi_plus,
         norm_minus=psi_minus.norm(), norm_plus=psi_plus.norm(),
@@ -465,16 +465,6 @@ def ratio_point(params: ModelParams, n: int,
                     delta=split.delta, abs_rho=hop.abs_rho, ratio=ratio,
                     quad_err=hop.quadrature_error, grid_n=n,
                     grid_L=grid.half_extent)
-
-
-def ratio_report(params_base: ModelParams, lams: Sequence[float], n: int,
-                 spec: Optional[WellSpec] = None,
-                 seed: int = 0) -> List[RatioRow]:
-    rows = []
-    for lam in lams:
-        rows.append(ratio_point(replace(params_base, lam=float(lam)), n,
-                                spec=spec, seed=seed))
-    return rows
 
 
 def write_ratio_csv(path, rows: Sequence[RatioRow]) -> None:

@@ -1,20 +1,29 @@
 """Eigensolver and Riesz projector tests on small grids where a dense
 eigendecomposition provides an exact oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
 from maglab.grid_model import Field, Grid2D, ModelParams, build_operator
 from maglab.spectral import (
     DENSE_FALLBACK_N,
+    ClusterError,
     Contour,
     EigensolverError,
+    _project_once,
+    _rank_probes,
+    _shift_invert,
     contour_for_ground,
     lowest_eigs,
     projector_rank_estimate,
     riesz_project,
+    riesz_project_with_rank,
 )
+from maglab.tunneling import quasimodes
 
 
 def make_op(n=20, b=0.2, lam=2.0):
@@ -64,6 +73,31 @@ def test_lowest_eigs_rejects_shift_inside_spectrum():
     # ... between E0 and E1 the nearest two include E0 < sigma
     with pytest.raises(EigensolverError, match="inside the spectrum"):
         lowest_eigs(op, k=2, sigma=0.5 * (w[0] + w[1]))
+
+
+def test_shift_invert_hands_one_minimum_degree_lu_to_arpack(monkeypatch):
+    op = make_op(n=30)
+    w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 2])
+    orderings = []
+    splu = spla.splu
+
+    def recording_splu(A, *args, **kwargs):
+        orderings.append(kwargs.get("permc_spec"))
+        return splu(A, *args, **kwargs)
+
+    def forbidden_splu(*args, **kwargs):
+        raise AssertionError("ARPACK factorized M - sigma I itself")
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(
+        importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack"),
+        "splu", forbidden_splu)
+    vals, _ = _shift_invert(op.matrix, 2, w[0] - 1.0, seed=0)
+    np.testing.assert_allclose(vals, w[:2], rtol=1e-10)
+    assert orderings == ["MMD_AT_PLUS_A"]
+    with pytest.raises(EigensolverError, match="inside the spectrum"):
+        _shift_invert(op.matrix, 2, 0.5 * (w[0] + w[1]), seed=0)
+    assert orderings == ["MMD_AT_PLUS_A"] * 2
 
 
 def test_contour_for_ground_geometry():
@@ -131,3 +165,99 @@ def test_projector_rank_estimate_counts_enclosed_levels(enclosed):
     contour = cluster_contour(w, enclosed, m=48)
     est = projector_rank_estimate(op, contour, probes=6, seed=0)
     assert abs(est - enclosed) < 0.05
+
+
+def pair_op():
+    """Strong field on the box: the two lowest levels lie far enough below
+    the third for a 32-node trapezoid rule (see `pair_contour`)."""
+    return make_op(b=4.0, lam=3.0)
+
+
+def pair_contour(w, m=32):
+    """Circle around w[0], w[1] through the geometric mean of their and
+    w[2]'s distances from the centre: the trapezoid error falls like
+    rho^m, rho = sqrt((w1 - c) / (w2 - c)) = 0.41 for `pair_op`."""
+    center = 0.5 * (w[0] + w[1])
+    radius = np.sqrt((w[1] - center) * (w[2] - center))
+    return Contour(center=complex(center), radius=float(radius),
+                   quadrature_nodes=m)
+
+
+def test_fused_sweeps_match_separate_projection_and_rank():
+    op = pair_op()
+    w, _ = dense_eigs(op)
+    contour = pair_contour(w)
+    rng = np.random.default_rng(3)
+    n = op.grid.n
+    fs = [Field(op.grid, rng.standard_normal((n, n))
+                + 1j * rng.standard_normal((n, n))) for _ in range(2)]
+    fused, est = riesz_project_with_rank(op, contour, fs, rank=2, probes=6,
+                                         seed=4)
+    for got, ref in zip(fused, riesz_project(op, contour, fs)):
+        assert np.linalg.norm(got.flat() - ref.flat()) \
+            <= 1e-12 * np.linalg.norm(ref.flat())
+    ref_est = projector_rank_estimate(op, contour, probes=6, seed=4)
+    assert abs(est - ref_est) <= 1e-12 * ref_est
+    assert abs(est - 2.0) < 1e-6
+    # Pi G from linearity equals a third sweep over the deflated probes G
+    Z = _rank_probes(op.dimension, 6, 4)
+    Y = _project_once(op, contour, Z, 32)
+    Q, _ = np.linalg.qr(Y)
+    G = Z - Q @ (Q.conj().T @ Z)
+    three_pass = (np.trace(Q.conj().T @ _project_once(op, contour, Q, 32)).real
+                  + np.mean(np.sum(np.conj(G) * _project_once(op, contour, G,
+                                                             32),
+                                   axis=0).real))
+    assert abs(est - three_pass) <= 1e-12 * three_pass
+
+
+def test_fused_sweeps_reject_wrong_rank_before_doubling(monkeypatch):
+    op = pair_op()
+    w, _ = dense_eigs(op)
+    contour = cluster_contour(w, 3)
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(1)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
+    with pytest.raises(ClusterError, match="rank estimate 3.0"):
+        riesz_project_with_rank(op, contour, f, rank=2, probes=6)
+    assert len(calls) == contour.quadrature_nodes     # two sweeps of m/2
+
+
+class _TrackedLU:
+    """SuperLU proxy that counts the factorizations alive."""
+    alive = 0
+
+    def __init__(self, lu):
+        self._lu = lu
+        _TrackedLU.alive += 1
+
+    def __del__(self):
+        _TrackedLU.alive -= 1
+
+    def solve(self, *args, **kwargs):
+        return self._lu.solve(*args, **kwargs)
+
+
+def test_quasimodes_factorizes_each_node_once_per_sweep(monkeypatch):
+    op = pair_op()
+    w, _ = dense_eigs(op)
+    alive_at_call = []
+    splu = spla.splu
+
+    def tracked_splu(A, *args, **kwargs):
+        alive_at_call.append(_TrackedLU.alive)
+        return _TrackedLU(splu(A, *args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", tracked_splu)
+    qm = quasimodes(op.params, op, contour=pair_contour(w, m=32),
+                    rank_probes=6, seed=0)
+    # two sweeps over the m/2 = 16 nodes, [probes | pair] then
+    # [Q | Pi pair], with no doubling and one LU alive at a time
+    assert alive_at_call == [0] * 32 and _TrackedLU.alive == 0
+    assert abs(qm.rank_estimate - 2.0) < 1e-6

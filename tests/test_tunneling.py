@@ -1,7 +1,6 @@
 """Hopping coefficient and 2x2 reduction: gauge/phase invariances of |rho0|,
 the generalized-eigenvalue oracle for the splitting formula, the parity-sector
-splitting solve against the full-operator one, and the ratio report
-plumbing."""
+splitting solve against the full-operator one, and the ratio CSV plumbing."""
 
 import math
 from dataclasses import replace
@@ -18,7 +17,7 @@ from maglab.grid_model import (
     build_operator,
     choose_grid,
 )
-from maglab.spectral import DENSE_FALLBACK_N, lowest_eigs
+from maglab.spectral import DENSE_FALLBACK_N, _gershgorin_shift, lowest_eigs
 from maglab.tunneling import (
     PARITY_RTOL,
     DegenerateQuasimodeError,
@@ -269,6 +268,31 @@ def test_splitting_pair_within_one_sector_takes_full_path():
     assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
     assert sd.path == "full"
     assert_levels_match(sd, _full_levels(op, 0))
+    assert max(full_residuals(op, sd.spectral)) <= 1e-8
+
+
+def test_splitting_below_a_coupling_beyond_the_stencil():
+    # a two-site well -200 e e^T, e = (delta_k + delta_{N-1-k}) / sqrt(2),
+    # couples its two sites by -100: the rows hold more than the 5-point
+    # stencil's off-diagonal sum 4/h^2, and the deep level lies below
+    # min(diag) - 4/h^2 - 1, so the lower bound must come from the matrix
+    op = small_double_well(0.05)
+    N = op.dimension
+    H = op.matrix.tolil()
+    k = N // 3
+    for i in (k, N - 1 - k):
+        for j in (k, N - 1 - k):
+            H[i, j] -= 100.0
+    op = SparseHermitianOp(matrix=H.tocsr(), grid=op.grid, params=op.params,
+                           n_wells=op.n_wells)
+    w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 2])
+    h = op.grid.spacing
+    assert w[0] < np.min(op.matrix.diagonal().real) - 4.0 / h ** 2 - 1.0
+    assert _gershgorin_shift(op) < w[0]
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0)
+    assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
+    np.testing.assert_allclose(sd.energies, w, rtol=1e-9)
     assert max(full_residuals(op, sd.spectral)) <= 1e-8
 
 
