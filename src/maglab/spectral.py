@@ -418,6 +418,10 @@ def riesz_project_with_rank(op: SparseHermitianOp, contour: Contour, f,
     ClusterError is raised when the estimate is farther than rank_tol from
     rank, before any doubling; a failed idempotence check then doubles m for
     the fields alone, as in `riesz_project` with its default tolerance.
+    rank is the number of levels the caller means the contour to enclose
+    (2 for the double-well pair in `tunneling.quasimodes`); the check is made
+    here rather than by the caller so that a wrong contour fails before the
+    doubling spends more sweeps on it.
     """
     single, vecs = _field_columns(f)
     m = contour.quadrature_nodes

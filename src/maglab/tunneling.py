@@ -26,12 +26,11 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
                          WellSpec, build_operator, choose_grid,
                          magnetic_translate, well_values)
 from .mho_kernels import MHOParams, ground_state
-from .spectral import ClusterError  # noqa: F401  (raised by quasimodes)
 from .spectral import (DENSE_FALLBACK_N, Contour, EigensolverError,
                        SpectralResult, _gershgorin_shift, _shift_invert,
                        _verified_result, contour_for_ground, lowest_eigs,
-                       parity_blocks, parity_defect, riesz_project,
-                       riesz_project_with_rank, unfold_parity)
+                       parity_blocks, parity_defect, riesz_project_with_rank,
+                       unfold_parity)
 
 
 class GroundStateError(ValueError):
@@ -201,7 +200,7 @@ class QuasimodePair:
     norm_plus: float
     cross_overlap: float
     contour: Contour
-    rank_estimate: Optional[float]
+    rank_estimate: float
 
     def defects(self) -> dict:
         return {"norm_minus": abs(self.norm_minus - 1.0),
@@ -212,15 +211,15 @@ class QuasimodePair:
 def quasimodes(params: ModelParams, op: SparseHermitianOp,
                spec: Optional[WellSpec] = None,
                contour: Optional[Contour] = None,
-               check_rank: bool = True, rank_tol: float = 0.1,
-               rank_probes: int = 6, seed: int = 0) -> QuasimodePair:
+               rank_tol: float = 0.1, rank_probes: int = 6,
+               seed: int = 0) -> QuasimodePair:
     """psi_{+-d} = Riesz projection of the translated, cut-off oscillator
     ground state R^{+-d} chi(X) psi0_mho, each normalized before projection.
 
-    With check_rank, the projector's rank is estimated from rank_probes
-    random probes in the same two sweeps over the m/2 contour nodes that
-    project the pair (`riesz_project_with_rank`): 2 * m/2 LUs, one alive at
-    a time.  A ClusterError is raised unless the estimate is within rank_tol
+    The projector's rank is estimated from rank_probes random probes in the
+    same two sweeps over the m/2 contour nodes that project the pair
+    (`riesz_project_with_rank`): 2 * m/2 LUs, one alive at a time.  A
+    spectral.ClusterError is raised unless the estimate is within rank_tol
     of 2; a failed idempotence check doubles m for the pair alone.
     """
     spec = spec if spec is not None else WellSpec.radial(params.a)
@@ -239,14 +238,9 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp,
     phi_plus = magnetic_translate(base, (+d1s, 0.0), blam)
     phi_minus = magnetic_translate(base, (-d1s, 0.0), blam)
 
-    if check_rank:
-        (psi_minus, psi_plus), rank = riesz_project_with_rank(
-            op, contour, [phi_minus, phi_plus], rank=2, rank_tol=rank_tol,
-            probes=rank_probes, seed=seed)
-    else:
-        psi_minus, psi_plus = riesz_project(op, contour,
-                                            [phi_minus, phi_plus])
-        rank = None
+    (psi_minus, psi_plus), rank = riesz_project_with_rank(
+        op, contour, [phi_minus, phi_plus], rank=2, rank_tol=rank_tol,
+        probes=rank_probes, seed=seed)
     return QuasimodePair(
         psi_minus=psi_minus, psi_plus=psi_plus,
         norm_minus=psi_minus.norm(), norm_plus=psi_plus.norm(),
