@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
-import csv
 import hashlib
 import json
 import math
@@ -25,22 +24,24 @@ import os
 import pathlib
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import blaschke
-from .grid_model import (Field, Grid2D, ModelParams, WellSpec, build_operator,
-                         choose_grid, well_values)
-from .landau_kernels import (gamma_tricomi_u, landau_heat_kernel,
+from .grid_model import (Field, ModelParams, SparseHermitianOp, WellSpec,
+                         build_operator, choose_grid)
+from .landau_kernels import (gamma_tricomi_u, landau_semigroup_defect,
                              load_landau_constants, tricomi_u)
-from .mho_kernels import (discretize_mho, ground_state, heat_kernel,
-                          mho_params)
+from .mho_kernels import (discretize_mho, ground_state, mho_params,
+                          mho_semigroup_defect)
 from .partition import build_partition, verify_partition
 from .spectral import lowest_eigs
 from .tunneling import (RATIO_CSV_COLUMNS, RatioRow, hopping_coefficient,
-                        ratio_point, splitting_direct, write_ratio_csv)
+                        lattice_grid, ratio_point, read_ratio_csv,
+                        single_well_ground, splitting_direct,
+                        write_ratio_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,10 +51,6 @@ KNOWN_SUITES = ("mho", "landau", "blaschke", "partition")
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class NumericalFailure(RuntimeError):
     pass
 
 
@@ -76,7 +73,7 @@ class RunConfig:
 
 
 DEFAULT_MODEL = {"lam": 30.0, "b": 0.0, "d1": 0.3, "a": 0.1, "exponent": 4}
-DEFAULT_GRID = {"n": 240, "half_extent": None}
+DEFAULT_GRID = {"n": 240}
 
 
 def _floats(text: str) -> List[float]:
@@ -113,8 +110,7 @@ def load_config(path: Optional[str]) -> RunConfig:
         for key in cp.options("grid"):
             if key not in grid:
                 raise ConfigError("unknown [grid] key: %s" % key)
-            val = cp.get("grid", key)
-            grid[key] = int(val) if key == "n" else float(val)
+            grid[key] = int(cp.get("grid", key))
 
     sweep = {"lam": [model["lam"]], "b": [model["b"]], "d1": [model["d1"]]}
     if cp.has_section("sweep"):
@@ -137,13 +133,9 @@ def load_config(path: Optional[str]) -> RunConfig:
                                   % (name, ", ".join(KNOWN_SUITES)))
         checks = names
 
-    output = {"dir": "results", "formats": ["csv", "json"]}
-    if cp.has_section("output"):
-        if cp.has_option("output", "dir"):
-            output["dir"] = cp.get("output", "dir")
-        if cp.has_option("output", "formats"):
-            output["formats"] = [t for t in cp.get("output", "formats")
-                                 .replace(",", " ").split() if t]
+    output = {"dir": "results"}
+    if cp.has_option("output", "dir"):
+        output["dir"] = cp.get("output", "dir")
 
     return RunConfig(model=model, grid=grid, sweep=sweep, checks=checks,
                      output=output, raw_text=raw)
@@ -152,7 +144,7 @@ def load_config(path: Optional[str]) -> RunConfig:
 def _model_params(cfg: RunConfig, args) -> ModelParams:
     m = dict(cfg.model)
     for key in ("lam", "b", "d1", "a"):
-        override = getattr(args, key.replace("1", "1"), None)
+        override = getattr(args, key, None)
         if override is not None:
             m[key] = override
     try:
@@ -161,8 +153,8 @@ def _model_params(cfg: RunConfig, args) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _well_spec(cfg: RunConfig) -> WellSpec:
-    return WellSpec.radial(cfg.model["a"], p=cfg.model["exponent"])
+def _well_spec(cfg: RunConfig, params: ModelParams) -> WellSpec:
+    return WellSpec.radial(params.a, p=cfg.model["exponent"])
 
 
 def _grid_n(cfg: RunConfig, args) -> int:
@@ -203,33 +195,25 @@ def _code_version() -> str:
 # single-shot computations
 
 
-def _flux_safe(grid: Grid2D, params: ModelParams) -> Grid2D:
-    """Refine n if needed so the flux bound h*lam <= 0.5 holds with headroom."""
-    lam = float(np.real(params.lam))
-    if grid.spacing * lam > 0.45:
-        n = int(math.ceil(2 * grid.half_extent * lam / 0.45)) + 1
-        n += n % 2
-        grid = Grid2D(half_extent=grid.half_extent, n=n)
-    return grid
+def _double_well(cfg: RunConfig, args) -> SparseHermitianOp:
+    """The double-well lattice at the resolved parameters, on the grid of
+    `lattice_grid` (the one `ratio_point` uses); op.params has the snapped
+    d1."""
+    params = _model_params(cfg, args)
+    spec = _well_spec(cfg, params)
+    grid, params = lattice_grid(params, _grid_n(cfg, args))
+    d1 = params.d1
+    return build_operator(params, grid,
+                          wells=[(spec, (-d1, 0.0)), (spec, (d1, 0.0))])
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
-    params = _model_params(cfg, args)
-    spec = _well_spec(cfg)
-    n = _grid_n(cfg, args)
-    if args.grid_L is not None:
-        grid = Grid2D(half_extent=args.grid_L, n=n)
-    else:
-        grid = choose_grid(params, n, double_well=True, pad=0.0)
-    grid = _flux_safe(grid, params)
-    d1s = float(grid.snap([params.d1, 0.0])[0])
-    params = replace(params, d1=d1s)
-    op = build_operator(params, grid,
-                        wells=[(spec, (-d1s, 0.0)), (spec, (d1s, 0.0))])
+    op = _double_well(cfg, args)
     res = lowest_eigs(op, k=args.k, seed=args.seed)
     for j, ev in enumerate(res.eigenvalues):
         print("E%d = %.12e   (residual %.2e)" % (j, ev, res.residuals[j]))
     out = _ensure_out(args)
+    params, grid = op.params, op.grid
     res.save_bundle(os.path.join(out, "spectrum.json"),
                     lam=float(np.real(params.lam)), b=params.b, d1=params.d1,
                     a=params.a, grid_n=grid.n, grid_L=grid.half_extent)
@@ -239,15 +223,10 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 def cmd_hopping(cfg: RunConfig, args) -> int:
     params = _model_params(cfg, args)
-    spec = _well_spec(cfg)
-    n = _grid_n(cfg, args)
-    grid = _flux_safe(choose_grid(params, n, double_well=True,
-                                  pad=params.d1), params)
-    d1s = float(grid.snap([params.d1, 0.0])[0])
-    params = replace(params, d1=d1s)
-    op = build_operator(params, grid, wells=[(spec, (0.0, 0.0))])
-    res = lowest_eigs(op, k=1, seed=args.seed)
-    hop = hopping_coefficient(params, res.eigenvectors[0], spec=spec,
+    spec = _well_spec(cfg, params)
+    res, op = single_well_ground(params, _grid_n(cfg, args), spec=spec,
+                                 seed=args.seed)
+    hop = hopping_coefficient(op.params, res.eigenvectors[0], spec=spec,
                               residual=res.residuals[0])
     print("rho0      = %.12e %+.12ei" % (hop.rho.real, hop.rho.imag))
     print("|rho0|    = %.12e" % hop.abs_rho)
@@ -256,15 +235,7 @@ def cmd_hopping(cfg: RunConfig, args) -> int:
 
 
 def cmd_splitting(cfg: RunConfig, args) -> int:
-    params = _model_params(cfg, args)
-    spec = _well_spec(cfg)
-    n = _grid_n(cfg, args)
-    grid = _flux_safe(choose_grid(params, n, double_well=True, pad=0.0),
-                      params)
-    d1s = float(grid.snap([params.d1, 0.0])[0])
-    op = build_operator(params, grid,
-                        wells=[(spec, (-d1s, 0.0)), (spec, (d1s, 0.0))])
-    res = splitting_direct(op, seed=args.seed)
+    res = splitting_direct(_double_well(cfg, args), seed=args.seed)
     print("E0     = %.12e" % res.energies[0])
     print("E1     = %.12e" % res.energies[1])
     print("Delta0 = %.12e" % res.delta)
@@ -300,36 +271,10 @@ def mho_check_suite(seed: int = 0) -> List[Tuple[str, bool, str]]:
                  "|1-|<psi,phi>|| = %.2e" % abs(1 - ov)))
 
     # semigroup property at (s, s') = (0.3, 0.5)
-    defect = _mho_semigroup_defect(p, 0.3, 0.5)
+    defect = mho_semigroup_defect(p, 0.3, 0.5)
     rows.append(("semigroup defect (0.3, 0.5)", defect <= 1e-6,
                  "rel defect %.2e" % defect))
     return rows
-
-
-def _mho_semigroup_defect(p, s, sp) -> float:
-    L, n = 2.5, 400
-    z = np.linspace(-L, L, n)
-    h = z[1] - z[0]
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    x, y = (0.31, -0.22), (-0.14, 0.37)
-    Kx = heat_kernel(p, x, (Z1, Z2), s)
-    Ky = heat_kernel(p, (Z1, Z2), y, sp)
-    lhs = heat_kernel(p, x, y, s + sp)
-    rhs = np.sum(Kx * Ky) * h * h
-    return abs(rhs - lhs) / abs(lhs)
-
-
-def _landau_semigroup_defect(B, s, sp) -> float:
-    L, n = 6.0, 480
-    z = np.linspace(-L, L, n)
-    h = z[1] - z[0]
-    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
-    x, y = (0.4, -0.1), (-0.3, 0.2)
-    Kx = landau_heat_kernel(B, x, (Z1, Z2), s)
-    Ky = landau_heat_kernel(B, (Z1, Z2), y, sp)
-    lhs = landau_heat_kernel(B, x, y, s + sp)
-    rhs = np.sum(Kx * Ky) * h * h
-    return abs(rhs - lhs) / abs(lhs)
 
 
 def _e1_series(x: float, terms: int = 60) -> float:
@@ -360,7 +305,7 @@ def landau_check_suite(seed: int = 0) -> List[Tuple[str, bool, str]]:
     rows.append(("pole divergence slope", abs(slope + 1) <= 0.05,
                  "slope %.4f" % slope))
 
-    defect = _landau_semigroup_defect(0.8, 0.3, 0.5)
+    defect = landau_semigroup_defect(0.8, 0.3, 0.5)
     rows.append(("semigroup defect (0.3, 0.5)", defect <= 1e-6,
                  "rel defect %.2e" % defect))
 
@@ -553,10 +498,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     rows = [RatioRow(**e["row"]) for e in manifest["points"].values()
             if e["status"] == "ok"]
     rows.sort(key=lambda r: (r.b, r.d1, r.lam))
-    if "csv" in cfg.output["formats"]:
-        write_ratio_csv(os.path.join(out, "ratio.csv"), rows)
-        print("wrote %s (%d rows)" % (os.path.join(out, "ratio.csv"),
-                                      len(rows)))
+    write_ratio_csv(os.path.join(out, "ratio.csv"), rows)
+    print("wrote %s (%d rows)" % (os.path.join(out, "ratio.csv"), len(rows)))
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
@@ -657,84 +600,39 @@ def _svg_line_plot(path: str, series, title: str, xlabel: str, ylabel: str,
     _atomic_write(path, "\n".join(parts))
 
 
-def _read_ratio_rows(path: str) -> List[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        missing = [c for c in RATIO_CSV_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError("ratio CSV schema error: missing column(s) %s"
-                              % ", ".join(missing))
-        idx = {c: header.index(c) for c in header}
-        rows = []
-        for rec in reader:
-            rows.append({c: float(rec[idx[c]]) for c in header})
-    return rows
-
-
 def cmd_plot(cfg: RunConfig, args) -> int:
     results = args.out or cfg.output["dir"]
-    made = []
-
     ratio_csv = os.path.join(results, "ratio.csv")
-    if os.path.isfile(ratio_csv):
-        rows = _read_ratio_rows(ratio_csv)
-        groups: Dict[Tuple[float, float], List[dict]] = {}
-        for r in rows:
-            groups.setdefault((r["b"], r["d1"]), []).append(r)
-        series_split, series_ratio = [], []
-        for (b, d1), grp in sorted(groups.items()):
-            grp.sort(key=lambda r: r["lambda"])
-            lams = [r["lambda"] for r in grp]
-            series_split.append(("Delta, b=%g" % b, lams,
-                                 [r["Delta"] for r in grp]))
-            series_split.append(("2|rho|, b=%g" % b, lams,
-                                 [2 * r["abs_rho"] for r in grp]))
-            series_ratio.append(("b=%g d1=%g" % (b, d1), lams,
-                                 [r["ratio"] for r in grp]))
-        p1 = os.path.join(results, "splitting_vs_lambda.svg")
-        _svg_line_plot(p1, series_split, "Splitting and hopping vs lambda",
-                       "lambda", "energy (log)", logy=True)
-        p2 = os.path.join(results, "ratio_vs_lambda.svg")
-        _svg_line_plot(p2, series_ratio, "Delta / (2|rho|) vs lambda",
-                       "lambda", "ratio")
-        made += [p1, p2]
-
-    decay_csv = os.path.join(results, "decay_fit.csv")
-    if os.path.isfile(decay_csv):
-        with open(decay_csv, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            for col in ("distance", "log_norm"):
-                if col not in header:
-                    raise ConfigError("decay CSV schema error: missing "
-                                      "column(s) %s" % col)
-            recs = [[float(v) for v in rec] for rec in reader]
-        di, li = header.index("distance"), header.index("log_norm")
-        p3 = os.path.join(results, "decay_fit.svg")
-        _svg_line_plot(p3, [("log ring norm", [r[di] for r in recs],
-                             [r[li] for r in recs])],
-                       "Off-diagonal decay", "distance", "log norm")
-        made.append(p3)
-
-    cert_json = os.path.join(results, "certificates.json")
-    if os.path.isfile(cert_json):
-        with open(cert_json) as fh:
-            certs = json.load(fh)
-        if certs:
-            p4 = os.path.join(results, "certificate_margins.svg")
-            _svg_line_plot(p4, [("margin", list(range(len(certs))),
-                                 [c["margin"] for c in certs])],
-                           "Lower-bound certificate margins", "instance",
-                           "margin")
-            made.append(p4)
-
-    if not made:
+    if not os.path.isfile(ratio_csv):
         print("warning: no plottable results found in %s" % results,
               file=sys.stderr)
-    else:
-        for path in made:
-            print("wrote %s" % path)
+        return EXIT_OK
+    try:
+        rows = read_ratio_csv(ratio_csv)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    groups: Dict[Tuple[float, float], List[RatioRow]] = {}
+    for r in rows:
+        groups.setdefault((r.b, r.d1), []).append(r)
+    series_split, series_ratio = [], []
+    for (b, d1), grp in sorted(groups.items()):
+        grp.sort(key=lambda r: r.lam)
+        lams = [r.lam for r in grp]
+        series_split.append(("Delta, b=%g" % b, lams,
+                             [r.delta for r in grp]))
+        series_split.append(("2|rho|, b=%g" % b, lams,
+                             [2 * r.abs_rho for r in grp]))
+        series_ratio.append(("b=%g d1=%g" % (b, d1), lams,
+                             [r.ratio for r in grp]))
+    p1 = os.path.join(results, "splitting_vs_lambda.svg")
+    _svg_line_plot(p1, series_split, "Splitting and hopping vs lambda",
+                   "lambda", "energy (log)", logy=True)
+    p2 = os.path.join(results, "ratio_vs_lambda.svg")
+    _svg_line_plot(p2, series_ratio, "Delta / (2|rho|) vs lambda",
+                   "lambda", "ratio")
+    for path in (p1, p2):
+        print("wrote %s" % path)
     return EXIT_OK
 
 
@@ -753,9 +651,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, metavar="PATH")
         p.add_argument("--out", default=None, metavar="DIR")
         p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--threads", type=int, default=1, metavar="N")
         p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-        p.add_argument("--grid-L", type=float, default=None, dest="grid_L")
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=1, metavar="N")
         if name == "spectrum":
             p.add_argument("--k", type=int, default=3)
         if name in ("spectrum", "hopping", "splitting"):
@@ -791,7 +689,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:
+    # numerical failures only (EigensolverError, ClusterError, LinAlgError,
+    # ARPACK errors, domain errors); programming errors keep their traceback
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
         print("numerical failure: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return EXIT_NUMERICAL

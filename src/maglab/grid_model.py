@@ -14,8 +14,8 @@ gives a uniform flux of -b*lam*h^2 per plaquette.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,8 +38,6 @@ class ModelParams:
     d1: float
     a: float
     hessian: np.ndarray = field(default_factory=lambda: np.eye(2))
-    mu: complex = 0.0 + 0.0j
-    epsilon: float = 0.3
     separation_constant: float = 2.0   # required: 2*d1 > separation_constant*a
 
     def __post_init__(self):
@@ -56,8 +54,6 @@ class ModelParams:
             raise ValueError("d1 must be nonnegative")
         if self.b < 0:
             raise ValueError("b must be nonnegative")
-        if not (0 < self.epsilon < np.pi / 2):
-            raise ValueError("epsilon must lie in (0, pi/2)")
         if self.separation_constant < 2:
             raise ValueError("separation constant must be >= 2")
 
@@ -162,14 +158,10 @@ class WellSpec:
     """Compactly supported single-well profile v(x) = -(1 - <x,Sx>)^p on
     <x,Sx> < 1, zero outside.  Range [-1, 0], v(0) = -1, Hessian(0) = 2pS."""
 
-    kind: str = "radial_bump"          # radial_bump | anisotropic_bump | custom_samples
     exponent: int = 4
     shape: np.ndarray = field(default_factory=lambda: np.eye(2))
-    sampler: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind not in ("radial_bump", "anisotropic_bump", "custom_samples"):
-            raise ValueError("unknown well kind %r" % self.kind)
         if self.exponent < 4:
             raise ValueError("well exponent must be >= 4 for C^3 regularity")
         S = np.asarray(self.shape, dtype=float)
@@ -178,12 +170,10 @@ class WellSpec:
         if np.any(np.linalg.eigvalsh(S) <= 0):
             raise ValueError("shape matrix must be positive definite")
         object.__setattr__(self, "shape", S)
-        if self.kind == "custom_samples" and self.sampler is None:
-            raise ValueError("custom_samples requires a sampler callable")
 
     @staticmethod
     def radial(a: float, p: int = 4) -> "WellSpec":
-        return WellSpec(kind="radial_bump", exponent=p, shape=np.eye(2) / a ** 2)
+        return WellSpec(exponent=p, shape=np.eye(2) / a ** 2)
 
     @property
     def support_radius(self) -> float:
@@ -197,11 +187,6 @@ class WellSpec:
 
 def well_values(spec: WellSpec, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """Sample v at the given coordinate arrays (well centered at the origin)."""
-    if spec.kind == "custom_samples":
-        v = np.asarray(spec.sampler(X1, X2), dtype=float)
-        if np.any(v > 1e-12) or np.any(v < -1 - 1e-12):
-            raise ValueError("custom well samples leave the range [-1, 0]")
-        return v
     S = spec.shape
     u = S[0, 0] * X1 ** 2 + 2 * S[0, 1] * X1 * X2 + S[1, 1] * X2 ** 2
     inside = u < 1.0
@@ -249,14 +234,6 @@ class SparseHermitianOp:
 
     def max_nnz_per_row(self) -> int:
         return int(np.max(np.diff(self.matrix.indptr)))
-
-    def export_coo_text(self, path) -> None:
-        """Coordinate-format text dump (row col re im), for debugging."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write("# %d %d %d\n" % (coo.shape[0], coo.shape[1], coo.nnz))
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write("%d %d %.17g %.17g\n" % (r, c, v.real, v.imag))
 
 
 def build_operator(params: ModelParams, grid: Grid2D,

@@ -21,7 +21,6 @@ of the overflow/cancellation of forming Gamma and U separately.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -36,8 +35,8 @@ __all__ = [
     "landau_heat_kernel", "log_landau_heat_kernel",
     "tricomi_u", "gamma_tricomi_u", "landau_resolvent_kernel",
     "pole_distance", "apply_landau_resolvent", "offdiag_decay_rate",
-    "DecayFit", "export_decay_fit", "resolvent_norm_envelope",
-    "load_landau_constants",
+    "DecayFit", "resolvent_norm_envelope", "load_landau_constants",
+    "landau_semigroup_defect",
     "PoleProximityError", "DomainError", "SupportError",
 ]
 
@@ -105,6 +104,21 @@ def landau_heat_kernel(B, x, y, t):
         return SignedLog(log_value=lq)
     out = np.exp(lq)
     return complex(out) if np.ndim(out) == 0 else out
+
+
+def landau_semigroup_defect(B, s: float, s_prime: float) -> float:
+    """Relative defect of int q(x,z,s) q(z,y,s') dz = q(x,y,s+s') at two
+    fixed points, the z-integral a Riemann sum on [-6, 6]^2, n = 480."""
+    L, n = 6.0, 480
+    z = np.linspace(-L, L, n)
+    h = z[1] - z[0]
+    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
+    x, y = (0.4, -0.1), (-0.3, 0.2)
+    Kx = landau_heat_kernel(B, x, (Z1, Z2), s)
+    Ky = landau_heat_kernel(B, (Z1, Z2), y, s_prime)
+    lhs = landau_heat_kernel(B, x, y, s + s_prime)
+    rhs = np.sum(Kx * Ky) * h * h
+    return abs(rhs - lhs) / abs(lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +403,3 @@ def offdiag_decay_rate(B, z, f: Field, ring_radii) -> DecayFit:
     return DecayFit(rate=float(-slope), band=band, distances=dists,
                     log_norms=lognorms, low_dynamic_range=bool(span < 4.0))
 
-
-def export_decay_fit(path, fit: DecayFit) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["distance", "log_norm", "fitted_rate", "band"])
-        for d, ln in zip(fit.distances, fit.log_norms):
-            w.writerow(["%.17g" % d, "%.17g" % ln,
-                        "%.17g" % fit.rate, "%.17g" % fit.band])

@@ -21,17 +21,22 @@ coefficient functions are evaluated in exponentially scaled form (every
 sinh/cosh carries its own e^{-arg} factor) so nothing overflows for any s > 0,
 and the small-s cancellations are removed by exact product/series
 rearrangements.  The crossover between the two regimes is automatic.
+
+`discretize_mho` puts H on the Peierls lattice of `grid_model.build_operator`,
+the one lattice builder of the package, for checks against the closed forms.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
+import scipy.sparse as sp
+
+from .grid_model import Grid2D, ModelParams, SparseHermitianOp, build_operator
 
 __all__ = [
     "MHOParams", "RegionBounds", "SignedLog",
@@ -39,7 +44,7 @@ __all__ = [
     "ground_state", "dual_ground_state", "ground_state_energy",
     "modified_green", "GreenResult", "mu_threshold",
     "d_bound", "default_region_bounds", "load_green_bound_constants",
-    "discretize_mho", "export_kernel_table",
+    "discretize_mho", "mho_semigroup_defect",
     "SingularityError", "DivergenceError", "ParameterError",
 ]
 
@@ -96,13 +101,6 @@ class MHOParams:
     @property
     def is_real(self) -> bool:
         return (np.imag(self.lam) == 0 and np.imag(self.B) == 0)
-
-    def simplified(self):
-        """Python scalars (complex collapsed to float where exactly real)."""
-        def c(z):
-            z = complex(z)
-            return z.real if z.imag == 0 else z
-        return tuple(map(c, (self.k1, self.k2, self.B, self.lam)))
 
 
 WEDGE_LAMBDA = 1.0   # |Im lam| <= WEDGE_LAMBDA * Re lam
@@ -435,7 +433,6 @@ class RegionBounds:
 
     c1: float = 0.1
     C1: float = 10.0
-    c_sharp: float = 0.05
     C: float = math.e          # C log C = e by default
     C_prime: float = math.e ** 2
     c: float = 1.0
@@ -625,62 +622,48 @@ def load_green_bound_constants() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# discretization and export
+# semigroup check and lattice discretization
 
 
-def discretize_mho(p: MHOParams, grid):
-    """Central-difference discretization of H on the grid (Dirichlet walls at
-    the outermost node ring), returned as a SparseHermitianOp-compatible CSR
-    matrix wrapped with the grid.  Requires real parameters.
+def mho_semigroup_defect(p: MHOParams, s: float, s_prime: float) -> float:
+    """Relative defect of int q(x,z,s) q(z,y,s') dz = q(x,y,s+s') at two
+    fixed points, the z-integral a Riemann sum on [-2.5, 2.5]^2, n = 400."""
+    L, n = 2.5, 400
+    z = np.linspace(-L, L, n)
+    h = z[1] - z[0]
+    Z1, Z2 = np.meshgrid(z, z, indexing="ij")
+    x, y = (0.31, -0.22), (-0.14, 0.37)
+    Kx = heat_kernel(p, x, (Z1, Z2), s)
+    Ky = heat_kernel(p, (Z1, Z2), y, s_prime)
+    lhs = heat_kernel(p, x, y, s + s_prime)
+    rhs = np.sum(Kx * Ky) * h * h
+    return abs(rhs - lhs) / abs(lhs)
+
+
+def discretize_mho(p: MHOParams, grid: Grid2D) -> SparseHermitianOp:
+    """H on the grid, as the Peierls lattice operator of
+    `grid_model.build_operator` (Dirichlet walls at the outermost node ring)
+    plus the oscillator potential, halved.  Requires real parameters, and
+    inherits the builder's check h*lam <= 0.5.
+
+    H = (1/2)[(P - A)^2 + lam^2 (k1^2 x1^2 + k2^2 x2^2)] with
+    A = -lam B x_perp.  The builder's field (b lam/2) x_perp with b = 2|B|
+    is this A for B < 0 and its negative for B > 0, where the complex
+    conjugate of its matrix is taken.
     """
-    import scipy.sparse as sp
-
-    from .grid_model import ModelParams, SparseHermitianOp
-
     if not p.is_real:
         raise ParameterError("grid discretization requires real lam and B")
     lam = float(np.real(p.lam))
     Bf = float(np.real(p.B))
-    n, h = grid.n, grid.spacing
-    X1, X2 = grid.meshes()
-    N = n * n
-
-    interior = np.zeros((n, n), dtype=bool)
-    interior[1:-1, 1:-1] = True
-    pot = lam ** 2 * ((p.k1 ** 2 + Bf ** 2) * X1 ** 2
-                      + (p.k2 ** 2 + Bf ** 2) * X2 ** 2)
-    diag = 0.5 * (4.0 / h ** 2 + np.where(interior, pot, 0.0)).ravel()
-
-    idx = np.arange(N).reshape(n, n)
-    # bond x -> x + h e1: (1/2)[-1/h^2 + 2 i lam B x2 / (2h)]
-    v1 = (-0.5 / h ** 2 + 1j * lam * Bf * X2[:-1, :] / (2 * h))
-    # bond x -> x + h e2: (1/2)[-1/h^2 - 2 i lam B x1 / (2h)]
-    v2 = (-0.5 / h ** 2 - 1j * lam * Bf * X1[:, :-1] / (2 * h))
-    keep1 = (interior[:-1, :] & interior[1:, :]).ravel()
-    keep2 = (interior[:, :-1] & interior[:, 1:]).ravel()
-    rows = np.concatenate([idx[:-1, :].ravel()[keep1],
-                           idx[:, :-1].ravel()[keep2]])
-    cols = np.concatenate([idx[1:, :].ravel()[keep1],
-                           idx[:, 1:].ravel()[keep2]])
-    vals = np.concatenate([v1.ravel()[keep1], v2.ravel()[keep2]])
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(N, N))
-    A = A + A.conj().T + sp.diags(diag.astype(complex))
     params = ModelParams(lam=lam, b=2 * abs(Bf), d1=0.0,
                          a=grid.half_extent / 2)
-    return SparseHermitianOp(matrix=A.tocsr(), grid=grid, params=params,
+    M = build_operator(params, grid).matrix
+    if Bf > 0:
+        M = M.conj()
+    X1, X2 = grid.meshes()
+    pot = lam ** 2 * (p.k1 ** 2 * X1 ** 2 + p.k2 ** 2 * X2 ** 2)
+    pot[[0, -1], :] = 0.0                   # wall nodes carry no potential
+    pot[:, [0, -1]] = 0.0
+    H = 0.5 * (M + sp.diags(pot.ravel()))
+    return SparseHermitianOp(matrix=H.tocsr(), grid=grid, params=params,
                              n_wells=0)
-
-
-def export_kernel_table(path, rows) -> None:
-    """CSV table of kernel evaluations.
-
-    rows: iterables (x1, x2, y1, y2, s_or_mu, value, abs_err).
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "y1", "y2", "s_or_mu", "re", "im", "abs_err"])
-        for x1, x2, y1, y2, t, val, ae in rows:
-            val = complex(val)
-            w.writerow(["%.17g" % x1, "%.17g" % x2, "%.17g" % y1,
-                        "%.17g" % y2, "%.17g" % t, "%.17g" % val.real,
-                        "%.17g" % val.imag, "%.3g" % ae])

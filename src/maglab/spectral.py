@@ -265,18 +265,6 @@ class Contour:
         return bool(np.all(d > self.radius * rel))
 
 
-def contour_for_ground(params, e0_mho: float, e1_mho: float,
-                       m: int = 32) -> Contour:
-    """z(xi) = -lam^2 + e0*lam + (e1-e0)/2 * xi * lam, xi on the unit circle."""
-    if not e1_mho > e0_mho:
-        raise ValueError("need e1_mho > e0_mho")
-    lam = params.lam
-    center = -lam ** 2 + e0_mho * lam
-    radius = 0.5 * (e1_mho - e0_mho) * abs(lam)
-    return Contour(center=complex(center), radius=float(radius),
-                   quadrature_nodes=m)
-
-
 class ContourSolveError(RuntimeError):
     def __init__(self, node, message):
         super().__init__("linear solve failed at contour node z=%s: %s"

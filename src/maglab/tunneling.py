@@ -28,9 +28,8 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
 from .mho_kernels import MHOParams, ground_state
 from .spectral import (DENSE_FALLBACK_N, Contour, EigensolverError,
                        SpectralResult, _gershgorin_shift, _shift_invert,
-                       _verified_result, contour_for_ground, lowest_eigs,
-                       parity_blocks, parity_defect, riesz_project_with_rank,
-                       unfold_parity)
+                       _verified_result, lowest_eigs, parity_blocks,
+                       parity_defect, riesz_project_with_rank, unfold_parity)
 
 
 class GroundStateError(ValueError):
@@ -50,10 +49,10 @@ def mho_reference(params: ModelParams, spec: Optional[WellSpec] = None) -> MHOPa
 
     Matching (P - (b lam/2) X_perp)^2 + lam^2 v(X) near the well bottom against
     the closed-form oscillator Hamiltonian gives k_j = sqrt(Hess_jj(v)/2) and
-    reference field -b/2.  Only the ground-state Gaussian (eta, zeta, xi) and
-    the frequencies f_plus/f_minus are consumed here, all of which stay regular
-    in the isotropic zero-field case, so MHOParams is built directly instead of
-    through the kernel-validating factory.
+    reference field -b/2.  Only the ground-state Gaussian (eta, zeta, xi) is
+    consumed here, which stays regular in the isotropic zero-field case, so
+    MHOParams is built directly instead of through the kernel-validating
+    factory.
     """
     spec = spec if spec is not None else WellSpec.radial(params.a)
     Hw = spec.hessian_at_origin()
@@ -64,14 +63,6 @@ def mho_reference(params: ModelParams, spec: Optional[WellSpec] = None) -> MHOPa
     k2 = float(np.sqrt(Hw[1, 1] / 2.0))
     return MHOParams(k1=k1, k2=k2, B=-params.b / 2.0,
                      lam=float(np.real(params.lam)))
-
-
-def mho_contour_energies(p: MHOParams):
-    """(e0, e1) for the spectral contour: ground and first excited levels of
-    the quadratic model in units of lam, relative to the well depth -lam^2."""
-    e0 = float(np.real(p.f_plus))
-    e1 = float(np.real(2 * p.f_plus - p.f_minus))
-    return e0, e1
 
 
 def _c4_step(t: np.ndarray) -> np.ndarray:
@@ -95,20 +86,34 @@ def mho_ground_field(p: MHOParams, grid: Grid2D, center=(0.0, 0.0)) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# single well and the hopping coefficient
+# the grid, the single well and the hopping coefficient
+
+
+def lattice_grid(params: ModelParams, n: int):
+    """(grid, params with d1 snapped to it): the grid policy of every single-
+    and double-well lattice.
+
+    The extent is the decay rule of `choose_grid` padded by d1, so that the
+    shifted samples phi0(x -+ d) of the hopping integral stay inside the
+    domain.  n is raised where needed so that h*lam <= 0.45, with headroom
+    below the builder's bound 0.5; then d1 is rounded to a multiple of h.
+    """
+    grid = choose_grid(params, n, double_well=True, pad=params.d1)
+    lam = float(np.real(params.lam))
+    if grid.spacing * lam > 0.45:
+        n = int(np.ceil(2 * grid.half_extent * lam / 0.45)) + 1
+        n += n % 2
+        grid = choose_grid(params, n, double_well=True, pad=params.d1)
+    d1s = float(grid.snap([params.d1, 0.0])[0])
+    return grid, replace(params, d1=d1s)
 
 
 def single_well_ground(params: ModelParams, n: int,
-                       spec: Optional[WellSpec] = None,
-                       pad: Optional[float] = None, seed: int = 0):
-    """(SpectralResult, op) for the well at the origin.
-
-    The grid is padded (default: by d1) so that the shifted samples
-    phi0(x -+ d) needed by the hopping integral stay inside the domain.
-    """
+                       spec: Optional[WellSpec] = None, seed: int = 0):
+    """(SpectralResult, op) for the well at the origin, on the grid of
+    `lattice_grid`; op.params carries the snapped d1."""
     spec = spec if spec is not None else WellSpec.radial(params.a)
-    pad = params.d1 if pad is None else pad
-    grid = choose_grid(params, n, double_well=True, pad=pad)
+    grid, params = lattice_grid(params, n)
     op = build_operator(params, grid, wells=[(spec, (0.0, 0.0))])
     res = lowest_eigs(op, k=1, seed=seed)
     return res, op
@@ -208,13 +213,16 @@ class QuasimodePair:
                 "cross_overlap": self.cross_overlap}
 
 
-def quasimodes(params: ModelParams, op: SparseHermitianOp,
+def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
                spec: Optional[WellSpec] = None,
-               contour: Optional[Contour] = None,
                rank_tol: float = 0.1, rank_probes: int = 6,
                seed: int = 0) -> QuasimodePair:
     """psi_{+-d} = Riesz projection of the translated, cut-off oscillator
     ground state R^{+-d} chi(X) psi0_mho, each normalized before projection.
+
+    The contour must enclose the tunneling pair E0, E1 and no other level,
+    e.g. the circle about (E0 + E1)/2 reaching half way to E2, from
+    `splitting_direct`.
 
     The projector's rank is estimated from rank_probes random probes in the
     same two sweeps over the m/2 contour nodes that project the pair
@@ -225,9 +233,6 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp,
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid = op.grid
     pref = mho_reference(params, spec)
-    if contour is None:
-        e0, e1 = mho_contour_energies(pref)
-        contour = contour_for_ground(params, e0, e1)
 
     lam = float(np.real(params.lam))
     blam = params.b * lam
@@ -431,21 +436,12 @@ class RatioRow:
 def ratio_point(params: ModelParams, n: int,
                 spec: Optional[WellSpec] = None, seed: int = 0) -> RatioRow:
     """One sweep point: Delta0 from the double well, rho0 from the single
-    well on the same grid, and their ratio Delta0 / (2 |rho0|)."""
+    well on the same grid (`lattice_grid`), and their ratio
+    Delta0 / (2 |rho0|)."""
     spec = spec if spec is not None else WellSpec.radial(params.a)
-    grid = choose_grid(params, n, double_well=True, pad=params.d1)
-    # refine if needed so the flux-per-plaquette bound h*lam <= 0.5 holds
-    # with some headroom
-    lam = float(np.real(params.lam))
-    if grid.spacing * lam > 0.45:
-        n = int(np.ceil(2 * grid.half_extent * lam / 0.45)) + 1
-        n += n % 2
-        grid = choose_grid(params, n, double_well=True, pad=params.d1)
-    d1s = float(grid.snap([params.d1, 0.0])[0])
-    params_s = replace(params, d1=d1s)
-
-    sw = build_operator(params_s, grid, wells=[(spec, (0.0, 0.0))])
-    res1 = lowest_eigs(sw, k=1, seed=seed)
+    res1, sw = single_well_ground(params, n, spec=spec, seed=seed)
+    grid, params_s = sw.grid, sw.params
+    d1s = params_s.d1
     hop = hopping_coefficient(params_s, res1.eigenvectors[0], spec=spec,
                               residual=res1.residuals[0])
 
@@ -457,7 +453,7 @@ def ratio_point(params: ModelParams, n: int,
     return RatioRow(lam=float(np.real(params.lam)), b=params.b, d1=d1s,
                     E0=split.energies[0], E1=split.energies[1],
                     delta=split.delta, abs_rho=hop.abs_rho, ratio=ratio,
-                    quad_err=hop.quadrature_error, grid_n=n,
+                    quad_err=hop.quadrature_error, grid_n=grid.n,
                     grid_L=grid.half_extent)
 
 
@@ -474,9 +470,13 @@ def read_ratio_csv(path) -> List[RatioRow]:
     rows = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         if header != RATIO_CSV_COLUMNS:
-            raise ValueError("unexpected CSV header %s" % header)
+            missing = [c for c in RATIO_CSV_COLUMNS if c not in header]
+            raise ValueError("ratio CSV schema error: columns %s, expected %s "
+                             "(missing column(s): %s)"
+                             % (header, RATIO_CSV_COLUMNS,
+                                ", ".join(missing) or "none"))
         for rec in rd:
             vals = [float(v) for v in rec]
             rows.append(RatioRow(lam=vals[0], b=vals[1], d1=vals[2],

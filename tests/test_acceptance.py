@@ -17,11 +17,7 @@ import scipy.linalg as la
 
 from maglab import blaschke
 from maglab.blaschke import BlaschkeZeroSet, HerglotzMeasure, herglotz_eval
-from maglab.cli import (
-    _landau_semigroup_defect,
-    _mho_semigroup_defect,
-    blaschke_check_suite,
-)
+from maglab.cli import blaschke_check_suite
 from maglab.grid_model import (
     Field,
     Grid2D,
@@ -35,6 +31,8 @@ from maglab.landau_kernels import (
     offdiag_decay_rate,
     tricomi_u,
 )
+from maglab.landau_kernels import \
+    landau_semigroup_defect as _landau_semigroup_defect
 from maglab.mho_kernels import (
     d_bound,
     default_region_bounds,
@@ -45,6 +43,7 @@ from maglab.mho_kernels import (
     modified_green,
     mu_threshold,
 )
+from maglab.mho_kernels import mho_semigroup_defect as _mho_semigroup_defect
 from maglab.partition import build_partition, verify_partition
 from maglab.spectral import Contour, lowest_eigs
 from maglab.tunneling import (

@@ -17,6 +17,8 @@ from maglab.cli import (
     ConfigError,
     load_config,
 )
+from maglab.grid_model import ModelParams, choose_grid
+from maglab.tunneling import lattice_grid, ratio_point
 
 SWEEP_INI = """\
 [model]
@@ -192,11 +194,27 @@ def test_plot_rejects_broken_csv_schema(tmp_path, capsys):
 
 
 def test_flux_refinement_helper():
-    from maglab.grid_model import Grid2D, ModelParams
     params = ModelParams(lam=40.0, b=0.1, d1=0.4, a=0.15)
-    coarse = Grid2D(half_extent=1.0, n=32)
-    fine = cli._flux_safe(coarse, params)
+    fine, _ = lattice_grid(params, 32)
     assert fine.spacing * 40.0 <= 0.45 + 1e-12
     assert fine.n % 2 == 0
-    ok = Grid2D(half_extent=1.0, n=400)
-    assert cli._flux_safe(ok, params) is ok
+    ok, _ = lattice_grid(params, 400)
+    assert ok == choose_grid(params, 400, double_well=True, pad=params.d1)
+
+
+def test_splitting_matches_the_sweep_point(capsys):
+    # spectrum/hopping/splitting build the lattice of ratio_point, and their
+    # wells from the --a given on the command line
+    rc = cli.main(["splitting", "--lam", "8", "--b", "0.05", "--d1", "0.45",
+                   "--a", "0.2", "--grid-n", "96"])
+    assert rc == EXIT_OK
+    row = ratio_point(ModelParams(lam=8.0, b=0.05, d1=0.45, a=0.2), 96)
+    assert "Delta0 = %.12e\n" % row.delta in capsys.readouterr().out
+
+
+def test_programming_errors_keep_their_traceback(monkeypatch):
+    def broken(cfg, args):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(cli, "cmd_splitting", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        cli.main(["splitting"])

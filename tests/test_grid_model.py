@@ -120,7 +120,7 @@ def test_well_spec_validation():
     with pytest.raises(ValueError):
         WellSpec.radial(0.2, p=3)                 # exponent must be >= 4
     with pytest.raises(ValueError):
-        WellSpec(kind="quartic", exponent=4,
+        WellSpec(exponent=4,
                  shape=np.array([[1.0, 2.0], [2.0, 1.0]]))  # not SPD
 
 

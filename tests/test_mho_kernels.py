@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from maglab.grid_model import Field, Grid2D
 from maglab.mho_kernels import (
     GreenResult,
     MHOParams,
@@ -15,6 +16,7 @@ from maglab.mho_kernels import (
     SignedLog,
     d_bound,
     default_region_bounds,
+    discretize_mho,
     dual_ground_state,
     ground_state,
     ground_state_energy,
@@ -25,6 +27,7 @@ from maglab.mho_kernels import (
     modified_green,
     mu_threshold,
 )
+from maglab.spectral import lowest_eigs
 
 
 def mehler_1d(omega, x, y, t):
@@ -206,3 +209,18 @@ def test_modified_green_log_singularity_at_short_distance():
 def test_signed_log_carrier():
     lv = SignedLog(log_value=np.array(2.0 + 0.5j))
     assert abs(lv.value - np.exp(2.0 + 0.5j)) < 1e-14
+
+
+@pytest.mark.parametrize("B", [0.5, -0.5])
+def test_discretize_mho_ground_state_for_either_field_sign(B):
+    # k1 != k2, so the ground state carries the phase xi x1 x2 with
+    # xi ~ B: the lattice field must have the right orientation for both
+    # signs of B (the opposite one leaves 1 - overlap ~ 6e-3)
+    p = mho_params(1.0, 2.0, B, 10.0)
+    grid = Grid2D(half_extent=1.5, n=64)             # h*lam = 0.476
+    res = lowest_eigs(discretize_mho(p, grid), k=1, seed=0)
+    psi = Field(grid, ground_state(p, grid.meshes())).normalized()
+    overlap = abs(psi.inner(res.eigenvectors[0].normalized()))
+    assert overlap >= 1.0 - 1e-3
+    with pytest.raises(ValueError, match="flux-per-plaquette"):
+        discretize_mho(p, Grid2D(half_extent=1.5, n=56))   # h*lam = 0.545

@@ -17,7 +17,6 @@ from maglab.spectral import (
     _project_once,
     _rank_probes,
     _shift_invert,
-    contour_for_ground,
     lowest_eigs,
     projector_rank_estimate,
     riesz_project,
@@ -98,16 +97,6 @@ def test_shift_invert_hands_one_minimum_degree_lu_to_arpack(monkeypatch):
     with pytest.raises(EigensolverError, match="inside the spectrum"):
         _shift_invert(op.matrix, 2, 0.5 * (w[0] + w[1]), seed=0)
     assert orderings == ["MMD_AT_PLUS_A"] * 2
-
-
-def test_contour_for_ground_geometry():
-    params = ModelParams(lam=10.0, b=0.1, d1=0.4, a=0.15)
-    c = contour_for_ground(params, e0_mho=1.5, e1_mho=2.5, m=16)
-    assert c.center == pytest.approx(-100.0 + 15.0)
-    assert c.radius == pytest.approx(0.5 * 1.0 * 10.0)
-    assert c.quadrature_nodes == 16
-    with pytest.raises(ValueError):
-        contour_for_ground(params, e0_mho=2.0, e1_mho=2.0)
 
 
 def test_contour_clearance():

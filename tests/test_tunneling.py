@@ -27,7 +27,6 @@ from maglab.tunneling import (
     _full_levels,
     cutoff_field,
     hopping_coefficient,
-    mho_contour_energies,
     mho_ground_field,
     mho_reference,
     read_ratio_csv,
@@ -114,8 +113,6 @@ def test_mho_reference_frequencies():
     assert p.k1 == pytest.approx(2.0 / A_WELL)
     assert p.k2 == pytest.approx(2.0 / A_WELL)
     assert p.B == pytest.approx(-B_FIELD / 2.0)
-    e0, e1 = mho_contour_energies(p)
-    assert e1 > e0 > 0
 
 
 def test_cutoff_field_profile():
