@@ -84,6 +84,21 @@ def _floats(text: str) -> List[float]:
         raise ConfigError("expected a list of numbers, got %r" % text) from exc
 
 
+def _number(section: str, key: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError("[%s] %s = %r is not a valid %s"
+                          % (section, key, text, kind.__name__)) from exc
+
+
+def _checked_grid_n(n: int) -> int:
+    if n <= 0 or n % 2:
+        raise ConfigError("grid n must be an even positive integer, got %d"
+                          % n)
+    return n
+
+
 def load_config(path: Optional[str]) -> RunConfig:
     cp = configparser.ConfigParser()
     raw = ""
@@ -102,15 +117,16 @@ def load_config(path: Optional[str]) -> RunConfig:
         for key in cp.options("model"):
             if key not in model:
                 raise ConfigError("unknown [model] key: %s" % key)
-            model[key] = (int(cp.get("model", key)) if key == "exponent"
-                          else float(cp.get("model", key)))
+            model[key] = _number("model", key, cp.get("model", key),
+                                 int if key == "exponent" else float)
 
     grid = dict(DEFAULT_GRID)
     if cp.has_section("grid"):
         for key in cp.options("grid"):
             if key not in grid:
                 raise ConfigError("unknown [grid] key: %s" % key)
-            grid[key] = int(cp.get("grid", key))
+            grid[key] = _number("grid", key, cp.get("grid", key), int)
+    grid["n"] = _checked_grid_n(grid["n"])
 
     sweep = {"lam": [model["lam"]], "b": [model["b"]], "d1": [model["d1"]]}
     if cp.has_section("sweep"):
@@ -158,7 +174,9 @@ def _well_spec(cfg: RunConfig, params: ModelParams) -> WellSpec:
 
 
 def _grid_n(cfg: RunConfig, args) -> int:
-    return args.grid_n if args.grid_n is not None else cfg.grid["n"]
+    if args.grid_n is None:
+        return cfg.grid["n"]
+    return _checked_grid_n(args.grid_n)
 
 
 def _ensure_out(args) -> str:

@@ -83,6 +83,24 @@ def test_invalid_model_exits_config_code(capsys):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section, line", [
+    ("model", "lam = abc"), ("model", "exponent = 4.5"),
+    ("grid", "n = 9.5"), ("grid", "n = 95"), ("grid", "n = 0")])
+def test_bad_config_values_exit_config_code(tmp_path, capsys, section, line):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[%s]\n%s\n" % (section, line))
+    rc = cli.main(["splitting", "--config", str(ini)])
+    assert rc == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["95", "-4"])
+def test_bad_grid_n_flag_exits_config_code(capsys, n):
+    rc = cli.main(["splitting", "--grid-n", n])
+    assert rc == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_splitting_reports_solver_path(capsys):
     rc = cli.main(["splitting", "--lam", "2", "--a", "0.3", "--d1", "0.35",
                    "--grid-n", "50"])

@@ -1,6 +1,7 @@
 """Landau (pure magnetic) kernels: heat kernel against the free kernel and an
 mpmath Tricomi-U oracle, Laplace-transform consistency of the resolvent
-kernel, gauge structure, and the pole diagnostics."""
+kernel, gauge structure, the pole diagnostics, and the grid application of
+the resolvent against the direct per-point sum."""
 
 import math
 
@@ -9,10 +10,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from maglab import landau_kernels as lk
+from maglab.grid_model import Field, Grid2D
 from maglab.landau_kernels import (
     DecayFit,
     DomainError,
     PoleProximityError,
+    SupportError,
+    apply_landau_resolvent,
     gamma_tricomi_u,
     landau_heat_kernel,
     landau_resolvent_kernel,
@@ -165,3 +170,112 @@ def test_decay_fit_dataclass():
     fit = DecayFit(rate=2.0, band=0.1, distances=np.array([0.1, 0.2]),
                    log_norms=np.array([-1.0, -3.0]), low_dynamic_range=False)
     assert abs(fit.dynamic_range_decades() - 2.0 / np.log(10.0)) < 1e-12
+
+
+# -- the resolvent application on a grid --------------------------------------
+
+
+def _reference_apply(B, z, f):
+    """The per-point sum: every support node adds h^2 F(|x - y|) times its
+    magnetic phase to every cell, plus the diagonal cell at its own node."""
+    B, z = complex(B), complex(z)
+    grid, vals = f.grid, f.values
+    n, h, axis = grid.n, grid.spacing, grid.axis()
+    idx = np.arange(n)
+    r2 = (idx[:, None] ** 2 + idx[None, :] ** 2).ravel()
+    table = np.zeros(r2.max() + 1, dtype=complex)
+    r2_pos = np.unique(r2[r2 > 0])
+    table[r2_pos] = lk._radial_table(B, z, r2_pos, h)
+    diag_cell = lk._diagonal_cell(B, z, h)
+    out = np.zeros((n, n), dtype=complex)
+    for i0, j0 in zip(*np.nonzero(vals)):
+        F = table[(idx[:, None] - i0) ** 2 + (idx[None, :] - j0) ** 2]
+        ph1 = np.exp(-1j * (B / 2) * axis * axis[j0])
+        ph2 = np.exp(1j * (B / 2) * axis * axis[i0])
+        out += (h * h * vals[i0, j0]) * F * ph1[:, None] * ph2[None, :]
+        out[i0, j0] += vals[i0, j0] * diag_cell
+    return out
+
+
+def _crescent_source(n=40):
+    # off-centre and non-convex: a disk with a bite taken out, a gap row and
+    # one isolated node
+    grid = Grid2D(half_extent=1.0, n=n)
+    X1, X2 = grid.meshes()
+    inside = ((X1 - 0.3) ** 2 + (X2 + 0.2) ** 2 < 0.35 ** 2) \
+        & ((X1 - 0.45) ** 2 + (X2 - 0.05) ** 2 > 0.2 ** 2)
+    inside[:, n // 2 - 6] = False
+    inside[8, 30] = True
+    rng = np.random.default_rng(11)
+    vals = np.where(inside, rng.standard_normal((n, n))
+                    + 1j * rng.standard_normal((n, n)), 0.0)
+    return Field(grid, vals)
+
+
+@pytest.mark.parametrize("z_over_B", [0.35, 0.35 + 0.3j])
+def test_apply_landau_resolvent_matches_per_point_sum(z_over_B):
+    # real z takes the real-window branch, complex z the complex one
+    B = 8.0
+    f = _crescent_source()
+    got = apply_landau_resolvent(B, z_over_B * B, f).values
+    ref = _reference_apply(B, z_over_B * B, f)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_apply_landau_resolvent_guards():
+    B = 8.0
+    grid = Grid2D(half_extent=1.0, n=40)
+    empty = apply_landau_resolvent(B, 0.35 * B, Field(grid, np.zeros((40, 40))))
+    assert not np.any(empty.values)
+    edge = np.zeros((40, 40))
+    edge[0, 17] = 1.0
+    with pytest.raises(SupportError):
+        apply_landau_resolvent(B, 0.35 * B, Field(grid, edge))
+    with pytest.raises(PoleProximityError):
+        apply_landau_resolvent(B, B, _crescent_source())
+
+
+def test_support_distance_searches_boundary_nodes_only():
+    # the old route: the minimum over every support node, on the meshes
+    rng = np.random.default_rng(3)
+    grid = Grid2D(half_extent=1.0, n=48)
+    X1, X2 = grid.meshes()
+    for _ in range(6):
+        sup = rng.random((48, 48)) < 0.15                # isolated nodes
+        blob = (X1 - rng.uniform(-0.5, 0.5)) ** 2 \
+            + (X2 - rng.uniform(-0.5, 0.5)) ** 2 < rng.uniform(0.1, 0.3)
+        sup |= blob & (rng.random((48, 48)) < 0.9)       # holes in a blob
+        ref = np.full(sup.shape, np.inf)
+        for p1, p2 in zip(X1[sup], X2[sup]):
+            ref = np.minimum(ref, np.hypot(X1 - p1, X2 - p2))
+        assert np.array_equal(lk._support_distance(grid.axis(), sup), ref)
+
+
+def test_decay_fit_matches_the_per_point_route(monkeypatch):
+    # the _04 decay configuration (bump of radius 0.12, rings from 0.15 in
+    # steps of 0.1, z = 0.35 B) on a coarser grid
+    B = 0.2 * 40.0
+    grid = Grid2D(half_extent=1.4, n=100)
+    X1, X2 = grid.meshes()
+    r2 = (X1 ** 2 + X2 ** 2) / 0.12 ** 2
+    f = Field(grid, np.where(r2 < 1, np.exp(-1 / np.maximum(1 - r2, 1e-300)),
+                             0.0))
+    radii = np.arange(0.15, 0.95, 0.1)
+    fit = lk.offdiag_decay_rate(B, 0.35 * B, f, radii)
+
+    def all_node_distance(axis, sup):
+        P1, P2 = np.meshgrid(axis, axis, indexing="ij")
+        d = np.full(sup.shape, np.inf)
+        for p1, p2 in zip(P1[sup], P2[sup]):
+            d = np.minimum(d, np.hypot(P1 - p1, P2 - p2))
+        return d
+
+    monkeypatch.setattr(lk, "apply_landau_resolvent",
+                        lambda B, z, f: Field(f.grid, _reference_apply(B, z, f)))
+    monkeypatch.setattr(lk, "_support_distance", all_node_distance)
+    old = lk.offdiag_decay_rate(B, 0.35 * B, f, radii)
+    assert abs(fit.rate - old.rate) <= 1e-12 * abs(old.rate)
+    assert abs(fit.band - old.band) <= 1e-12 * abs(old.band)
+    assert np.array_equal(fit.distances, old.distances)
+    assert np.allclose(fit.log_norms, old.log_norms, rtol=1e-13, atol=0)
+    assert fit.low_dynamic_range == old.low_dynamic_range
