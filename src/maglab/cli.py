@@ -84,7 +84,7 @@ def _floats(text: str) -> List[float]:
         raise ConfigError("expected a list of numbers, got %r" % text) from exc
 
 
-def _number(section: str, key: str, text: str, kind=float):
+def _number(section: str, key: str, text: str, kind):
     try:
         return kind(text)
     except ValueError as exc:

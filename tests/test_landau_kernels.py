@@ -198,7 +198,7 @@ def _reference_apply(B, z, f):
 
 
 def _crescent_source(n=40):
-    # off-centre and non-convex: a disk with a bite taken out, a gap row and
+    # off-centre and non-convex: a disk with a bite taken out, a gap column and
     # one isolated node
     grid = Grid2D(half_extent=1.0, n=n)
     X1, X2 = grid.meshes()
