@@ -7,7 +7,9 @@ blaschke-check, partition-check, sweep, plot.  Exit codes: 0 success,
 Configuration is a single INI file (stdlib configparser) with sections
 [model], [grid], [sweep], [checks], [output]; command-line flags override.
 Sweeps write a manifest keyed by the config hash and a hash of the maglab
-sources, and skip completed points on a rerun with both unchanged.  Plots
+sources, and skip completed points on a rerun with both unchanged.  The
+manifest also records the BLAS thread settings seen at sweep start, which
+move the CPU time and the last digits of Delta0 but not the cache key.  Plots
 are emitted as self-contained SVG plus a full-precision plot-data JSON, so
 no runtime plotting dependency is needed.
 """
@@ -258,6 +260,10 @@ def cmd_splitting(cfg: RunConfig, args) -> int:
     print("E1     = %.12e" % res.energies[1])
     print("Delta0 = %.12e" % res.delta)
     print("path   = %s (parity defect %.2e)" % (res.path, res.parity_defect))
+    print("counts = %s below shifts %s; %d below (E1+E2)/2 = %.12e"
+          % (", ".join(map(str, res.shift_counts)),
+             ", ".join("%.12e" % s for s in res.shifts), res.pair_count,
+             0.5 * (res.energies[1] + res.energies[2])))
     if not res.cluster_separated:
         print("warning: two-level cluster poorly separated from E2",
               file=sys.stderr)
@@ -434,6 +440,12 @@ def _run_suite(name: str, seed: int) -> int:
 # sweep
 
 
+# environment variables that set the BLAS thread count, recorded in the
+# sweep manifest
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
 def _point_key(point: dict) -> str:
     blob = json.dumps(point, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -466,6 +478,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
     manifest_path = os.path.join(out, "manifest.json")
     manifest = {"config_hash": cfg.config_hash, "code_version": _code_version(),
+                "blas_threads": {v: os.environ.get(v)
+                                 for v in BLAS_THREAD_VARS},
                 "columns": RATIO_CSV_COLUMNS, "points": {}}
     if os.path.isfile(manifest_path):
         with open(manifest_path) as fh:

@@ -1,20 +1,31 @@
 """Low eigenpairs of the lattice Hamiltonians and the Riesz spectral projector.
 
 The eigensolver is ARPACK (Lanczos) in shift-invert mode with a sparse LU; for
-tiny grids (n <= 48 per axis) a dense eigendecomposition is used instead.
-Operators that commute with the grid reflection x -> -x split into half-size
-even and odd blocks (`parity_defect`, `parity_blocks`, `unfold_parity`).  The
-Riesz projector is the trapezoid quadrature of (1/2pi i) * contour integral of
-the resolvent, with one complex sparse LU per contour node (each factorization
-serves a conjugate pair of nodes).
+tiny grids (n <= 48 per axis) `lowest_eigs` uses a dense eigendecomposition
+instead.  Operators that commute with the grid reflection x -> -x split into
+half-size even and odd blocks (`parity_defect`, `parity_blocks`,
+`unfold_parity`).  The Riesz projector is the trapezoid quadrature of
+(1/2pi i) * contour integral of the resolvent, with one complex sparse LU per
+contour node (each factorization serves a conjugate pair of nodes).
 
-Every sparse LU, of a contour node or of a shift-invert M - sigma I, comes from
-`_factor`: SuperLU with the minimum-degree ordering of A^T + A.  The lattice
-operators are structurally symmetric 5-point matrices, where that ordering
-gives about half the fill of SuperLU's default, COLAMD (a contour LU at
-N = 18 496: 0.76M instead of 1.50M nonzeros), so factorizations and solves
-take less time and memory at the same residual.  Shift-invert hands its
-factorization to ARPACK as `OPinv`, since ARPACK's own LU uses COLAMD.
+Every sparse LU is SuperLU with the minimum-degree ordering of A^T + A.  The
+lattice operators are structurally symmetric 5-point matrices, where that
+ordering gives about half the fill of SuperLU's default, COLAMD (a contour LU
+at N = 18 496: 0.76M instead of 1.50M nonzeros), so factorizations and solves
+take less time and memory at the same residual.  There are two LU modes:
+
+- `_factor`, with partial pivoting, for the complex non-Hermitian z - H of
+  the contour nodes;
+- `_factor_hermitian`, with diagonal pivots only (SymmetricMode), for the
+  Hermitian M - sigma I of a real shift.  That LU is an LDL* factorization:
+  by Sylvester's law of inertia the number of negative pivots is the number
+  of eigenvalues of M below sigma (`count_below`; spectrum slicing, Parlett,
+  The Symmetric Eigenvalue Problem, ch. 3).  Shift-invert counts on the LU
+  it hands to ARPACK as `OPinv` (ARPACK's own LU uses COLAMD), so a shift
+  inside the spectrum is rejected before the solve, and `_lowest_near`
+  lowers a start estimate until its count is 0.  At or below the Gershgorin
+  bound the count is skipped: the bound already proves it, and reading U's
+  diagonal copies all of U.
 
 A projection sweeps the m/2 nodes once for a block of right-hand sides,
 factorizing each node and dropping its LU before the next, so one contour LU
@@ -58,6 +69,10 @@ class SpectralResult:
     eigenvectors: List[Field]
     residuals: List[float]
     orthogonality_defect: float
+    # the shift of each shift-invert pass behind the values (none for the
+    # dense path); no eigenvalue lies below any of them, by the count on
+    # its LU or by the Gershgorin bound at or above it
+    shifts: List[float] = field(default_factory=list)
 
     def to_bundle(self, **metadata) -> dict:
         """JSON-serializable result bundle (without the eigenvector payload)."""
@@ -73,37 +88,73 @@ class SpectralResult:
             json.dump(self.to_bundle(**metadata), fh, indent=1)
 
 
-def _gershgorin_shift(op: SparseHermitianOp) -> float:
-    """A verified lower bound of the spectrum: min_i (Re H_ii - sum_{j != i}
-    |H_ij|), read from the matrix (Gershgorin); the extra 1 keeps the shift
-    strictly below."""
-    M = op.matrix
+def _gershgorin_bound(M) -> float:
+    """min_i (Re M_ii - sum_{j != i} |M_ij|), read from the matrix: no
+    eigenvalue of the Hermitian M lies below it (Gershgorin)."""
     diag = M.diagonal()
     radius = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
-    return float(np.min(diag.real - radius)) - 1.0
+    return float(np.min(diag.real - radius))
+
+
+def _gershgorin_shift(op: SparseHermitianOp) -> float:
+    """A verified lower bound of the spectrum, `_gershgorin_bound`; the extra
+    1 keeps the shift strictly below."""
+    return _gershgorin_bound(op.matrix) - 1.0
 
 
 def _factor(A):
-    """Sparse LU of A, ordered by minimum degree on A^T + A (see the module
-    docstring).  It calls the `spla.splu` attribute, so that a wrapper set
-    there sees every factorization maglab makes."""
+    """Sparse LU of A with partial pivoting, ordered by minimum degree on
+    A^T + A (see the module docstring).  It calls the `spla.splu` attribute,
+    so that a wrapper set there sees every factorization maglab makes."""
     return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _shift_invert(M, k: int, sigma: float, seed: int,
-                  maxiter: int = None):
-    """(vals, vecs): the k eigenpairs of the Hermitian M nearest sigma,
-    ascending, by ARPACK in shift-invert mode on the `_factor` LU of
-    M - sigma I.
+def _factor_hermitian(A):
+    """Sparse LU of the Hermitian A with diagonal pivots only, ordered like
+    `_factor`: P A P^T = L U with U = D L*, an LDL* factorization.
 
-    Raises EigensolverError when ARPACK does not converge or when a returned
-    eigenvalue lies below sigma, i.e. sigma sits inside the spectrum.
+    Raises EigensolverError when SuperLU pivoted off the diagonal anyway
+    (perm_r != perm_c, e.g. at an exactly zero pivot): the pivots then do not
+    give the inertia of A.
     """
-    N = M.shape[0]
+    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0, options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigensolverError(
+            "the symmetric LU pivoted off the diagonal (perm_r != perm_c), "
+            "so its pivots do not count eigenvalues")
+    return lu
+
+
+def _negative_pivots(lu) -> int:
+    """The number of negative eigenvalues of the factorized A (Sylvester's
+    law of inertia on A = L D L*; U's diagonal is D, real up to rounding)."""
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _shifted(M, sigma: float):
+    return M - sigma * sp.identity(M.shape[0], dtype=M.dtype, format="csr")
+
+
+def count_below(M, sigma: float) -> int:
+    """The number of eigenvalues of the Hermitian matrix M below sigma: the
+    negative pivots of the `_factor_hermitian` LU of M - sigma I."""
+    return _negative_pivots(_factor_hermitian(_shifted(M, sigma)))
+
+
+def _factor_below(M, sigma: float, bound: float):
+    """(LU of M - sigma I, eigenvalues of M below sigma); the count is
+    skipped, as 0, when sigma lies at or below the Gershgorin bound."""
+    lu = _factor_hermitian(_shifted(M, sigma))
+    return lu, (0 if sigma <= bound else _negative_pivots(lu))
+
+
+def _arpack(M, k: int, sigma: float, lu, seed: int, maxiter: int = None):
+    """(vals, vecs): the k eigenpairs of M nearest sigma, ascending, by
+    ARPACK in shift-invert mode on the given LU of M - sigma I."""
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(N)
+    v0 = rng.standard_normal(M.shape[0])
     v0 /= np.linalg.norm(v0)
-    lu = _factor(M - sigma * sp.identity(N, dtype=M.dtype, format="csr"))
     OPinv = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     try:
         vals, vecs = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
@@ -115,18 +166,51 @@ def _shift_invert(M, k: int, sigma: float, seed: int,
             % (0 if got is None else len(got), k),
             residuals=None) from err
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    if vals[0] < sigma:
+    return vals[order], vecs[:, order]
+
+
+def _shift_invert(M, k: int, sigma: float, seed: int,
+                  maxiter: int = None):
+    """(vals, vecs): the k lowest eigenpairs of the Hermitian M, ascending,
+    by ARPACK in shift-invert mode at sigma, which must lie below the
+    spectrum.
+
+    One LU of M - sigma I (`_factor_hermitian`) serves the count and the
+    solve.  Raises EigensolverError before the solve when the count puts an
+    eigenvalue below sigma, and when ARPACK does not converge.
+    """
+    lu, below = _factor_below(M, sigma, _gershgorin_bound(M))
+    if below:
         raise EigensolverError(
-            "shift %.17g lies inside the spectrum: eigenvalue %.17g is below "
-            "it, so the values returned need not be the lowest"
-            % (sigma, vals[0]))
-    return vals, vecs
+            "shift %.17g lies inside the spectrum: %d eigenvalue(s) below "
+            "it, so the values nearest it need not be the lowest"
+            % (sigma, below))
+    return _arpack(M, k, sigma, lu, seed, maxiter)
 
 
-def _verified_result(op: SparseHermitianOp, vals, vecs) -> SpectralResult:
+def _lowest_near(M, k: int, start: float, seed: int):
+    """(vals, vecs, sigma): the k lowest eigenpairs of the Hermitian M by
+    one shift-invert pass at the first of sigma = start, start - s,
+    start - 3s, start - 7s, ... (s = 1/64 of start's height above the
+    Gershgorin bound, and never below the bound minus 1) with no eigenvalue
+    below it; each shift tried costs one LU, and the last one serves ARPACK.
+    """
+    bound = _gershgorin_bound(M)
+    sigma, step = start, (start - bound) / 64.0
+    lu, below = _factor_below(M, sigma, bound)
+    while below:
+        sigma = max(sigma - step, bound - 1.0)
+        step *= 2.0
+        lu, below = _factor_below(M, sigma, bound)
+    vals, vecs = _arpack(M, k, sigma, lu, seed)
+    return vals, vecs, sigma
+
+
+def _verified_result(op: SparseHermitianOp, vals, vecs,
+                     shifts: Sequence[float] = ()) -> SpectralResult:
     """L2(grid)-normalized eigenpairs with their residuals ||H v - E v|| / ||v||
-    against the full operator and their orthogonality defect.
+    against the full operator and their orthogonality defect; shifts are the
+    shift-invert shifts behind vals, each with no eigenvalue below it.
 
     Nearly degenerate Ritz vectors can come out slightly non-orthogonal; they
     are then re-orthonormalized within the computed subspace.
@@ -166,7 +250,8 @@ def _verified_result(op: SparseHermitianOp, vals, vecs) -> SpectralResult:
     return SpectralResult(eigenvalues=[float(v) for v in vals],
                           eigenvectors=fields,
                           residuals=residuals,
-                          orthogonality_defect=defect)
+                          orthogonality_defect=defect,
+                          shifts=[float(x) for x in shifts])
 
 
 def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
@@ -179,11 +264,11 @@ def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
     absolute eigenvalue error (~eps * |E - sigma|), which matters when the
     quantity of interest is a tiny eigenvalue difference.
 
-    Shift-invert returns the k eigenvalues nearest sigma, so an EigensolverError
-    is raised when any of them lies below sigma.  That check is necessary, not
-    a proof: a shift inside the spectrum whose k nearest levels all lie above
-    it passes unnoticed.  The default shift, a Gershgorin lower bound of the
-    whole spectrum, makes the values returned the lowest.
+    Shift-invert returns the k eigenvalues nearest sigma, which are the k
+    lowest when no eigenvalue lies below sigma.  That is proven before the
+    solve, by the inertia count on the LU that serves it (`count_below`):
+    an EigensolverError is raised when the count is not 0.  The default
+    shift, one below the Gershgorin bound of the matrix, needs no count.
     """
     M = op.matrix
     N = M.shape[0]
@@ -197,6 +282,7 @@ def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
         if sigma is None:
             sigma = _gershgorin_shift(op)
         vals, vecs = _shift_invert(M, k, sigma, seed, maxiter=maxiter)
+        return _verified_result(op, vals, vecs, shifts=[sigma])
     return _verified_result(op, vals, vecs)
 
 

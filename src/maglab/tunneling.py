@@ -7,7 +7,10 @@ regauged so its overlap with the closed-form oscillator ground state is
 positive.  Delta0 = E1 - E0 of the double-well operator; when the operator
 commutes with x -> -x (symmetric wells, symmetric gauge) E0 and E1 are the
 ground levels of its even and odd parts, and `splitting_direct` solves the two
-half-size parity blocks instead of the full lattice.  The quasimodes are
+half-size parity blocks instead of the full lattice.  Each eigen-solve is one
+shift-invert pass at a near shift under which an inertia count finds no
+level, and further counts prove the levels the lowest (`single_well_ground`,
+`splitting_direct`).  The quasimodes are
 Riesz projections of magnetically translated, cut-off oscillator ground
 states; their 2x2 Gramian G and energy matrix M reproduce the splitting
 through sqrt(sigma)/|det G| with sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
@@ -26,10 +29,10 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
                          WellSpec, build_operator, choose_grid,
                          magnetic_translate, well_values)
 from .mho_kernels import MHOParams, ground_state
-from .spectral import (DENSE_FALLBACK_N, Contour, EigensolverError,
-                       SpectralResult, _gershgorin_shift, _shift_invert,
-                       _verified_result, lowest_eigs, parity_blocks,
-                       parity_defect, riesz_project_with_rank, unfold_parity)
+from .spectral import (Contour, EigensolverError, SpectralResult,
+                       _lowest_near, _verified_result, count_below,
+                       parity_blocks, parity_defect, riesz_project_with_rank,
+                       unfold_parity)
 
 
 class GroundStateError(ValueError):
@@ -108,15 +111,54 @@ def lattice_grid(params: ModelParams, n: int):
     return grid, replace(params, d1=d1s)
 
 
+def _oscillator_level(params: ModelParams,
+                     spec: Optional[WellSpec] = None) -> float:
+    """-lam^2 + Re E0 of `mho_reference`: the ground level of the well's
+    quadratic approximation, where the shift search of the eigen-solves
+    starts.  It is only a hint (at lam = 20, a = 0.1 it lies above E0 and E1
+    of the double well, at lam = 45 far below them): the inertia count
+    lowers a start inside the spectrum until none lies below it."""
+    return (-float(np.real(params.lam)) ** 2
+            + float(np.real(mho_reference(params, spec).E0)))
+
+
 def single_well_ground(params: ModelParams, n: int,
                        spec: Optional[WellSpec] = None, seed: int = 0):
     """(SpectralResult, op) for the well at the origin, on the grid of
-    `lattice_grid`; op.params carries the snapped d1."""
+    `lattice_grid`; op.params carries the snapped d1.
+
+    The operator commutes with x -> -x, and its ground level comes from
+    the even block (`_even_ground`), starting from the oscillator level.
+    """
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid, params = lattice_grid(params, n)
     op = build_operator(params, grid, wells=[(spec, (0.0, 0.0))])
-    res = lowest_eigs(op, k=1, seed=seed)
-    return res, op
+    return _even_ground(op, _oscillator_level(params, spec), seed), op
+
+
+def _even_ground(op: SparseHermitianOp, start: float,
+                 seed: int) -> SpectralResult:
+    """The ground level of an operator that commutes with x -> -x, by one
+    k = 1 shift-invert pass on its even block from start (`_lowest_near`).
+
+    The inertia counts prove it the lowest level of the whole operator: at
+    E0 + CUT_RTOL * max(|E0|, 1) the even block has one level below, the
+    odd block none; otherwise an EigensolverError names both counts.
+    """
+    symmetric, defect = _commutes_with_parity(op.matrix)
+    if not symmetric:
+        raise ValueError("the operator does not commute with x -> -x "
+                         "(||H - PHP||_max = %.3g)" % defect)
+    even, odd = parity_blocks(op.matrix)
+    vals, vecs, sigma = _lowest_near(even, 1, start, seed)
+    cut = vals[0] + CUT_RTOL * max(abs(vals[0]), 1.0)
+    counts = (count_below(even, cut), count_below(odd, cut))
+    if counts != (1, 0):
+        raise EigensolverError(
+            "even ground level %.17g is not the lowest: %d even and %d odd "
+            "level(s) lie below %.17g, where it puts 1 and 0"
+            % (vals[0], counts[0], counts[1], cut))
+    return _verified_result(op, vals, unfold_parity(vecs, 1), shifts=[sigma])
 
 
 @dataclass
@@ -313,13 +355,20 @@ def gram_and_m(psi_minus: Field, psi_plus: Field, op: SparseHermitianOp,
 # direct splitting and the ratio report
 
 
-# symmetry test of splitting_direct, relative to max|H|: rounding of the grid
-# coordinates leaves defects of ~1e-15 relative, a shifted gauge origin or
-# unequal wells O(1)
+# symmetry test of the parity-block solves, relative to max|H|: rounding of
+# the grid coordinates leaves defects of ~1e-15 relative, a shifted gauge
+# origin or unequal wells O(1)
 PARITY_RTOL = 1e-13
-# agreement required of the two passes on a sector's ground level: they agree
-# to ~1e-12 absolute at lam = 16..22, while distinct levels lie O(1) apart
-GROUND_REPRODUCE_RTOL = 1e-9
+# a computed ground level E is certified by the counts at
+# E + CUT_RTOL * max(|E|, 1): above its rounding error (~1e-12 absolute at
+# lam <= 45), below the next level, O(1) away
+CUT_RTOL = 1e-8
+
+
+def _commutes_with_parity(M):
+    """(whether M commutes with x -> -x up to rounding, ||M - PMP||_max)."""
+    defect = parity_defect(M)
+    return defect <= PARITY_RTOL * np.max(np.abs(M.data)), defect
 
 
 @dataclass
@@ -330,6 +379,13 @@ class SplittingResult:
     cluster_separated: bool
     path: str               # "parity" (even/odd sector solve) or "full"
     parity_defect: float    # ||H - PHP||_max, P: x -> -x
+    # the certificate by inertia counts: the shift of each shift-invert pass
+    # with the number of levels below it (0), and the number of levels below
+    # (E1 + E2)/2 (2), the proof that E0, E1 are the two lowest levels and
+    # that the pair is isolated from E2
+    shifts: List[float]
+    shift_counts: List[int]
+    pair_count: int
 
 
 def splitting_direct(op: SparseHermitianOp, seed: int = 0,
@@ -340,30 +396,39 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
     When H commutes with the grid reflection P (x -> -x), which holds for the
     symmetric double well in the symmetric gauge, E0 and E1 are the ground
     levels of its even and odd parts.  The "parity" path then solves the two
-    half-size sector blocks: a k = 1 shift-invert pass per sector from the
-    Gershgorin lower bound of the spectrum, then a k = 2 pass per sector just
-    below the pair, whose ground must reproduce the first pass (the check that
-    it is the lowest level); E2 is the smaller second in-sector level.  The
-    eigenvectors are unfolded to full-size fields and their residuals measured
-    against the full H.
+    half-size sector blocks, one k = 2 shift-invert pass each: the even
+    sector from the oscillator level (`_oscillator_level`), the odd sector
+    from the even sector's shift, each shift lowered until the inertia count
+    puts no level of its sector below it (`spectral._lowest_near`).  E2 is
+    the smaller second in-sector level.  The eigenvectors are unfolded to full-size fields and
+    their residuals measured against the full H.
 
     The "full" path, taken for asymmetric operators (a shifted gauge origin,
-    unequal or off-axis wells), tiny grids (n <= DENSE_FALLBACK_N), and a pair
-    lying within one sector, solves H itself: a k = 3 pass from the
-    Gershgorin bound, then a second one just below the computed cluster.  In
-    both paths the second pass matters because the absolute eigenvalue error
-    scales with the distance to the shift, and the splitting can be many
-    orders smaller than E0.
+    unequal or off-axis wells) and for a pair lying within one sector, solves
+    H itself by one k = 3 pass from the oscillator level, the same way.
+
+    Either way the levels are proven, not presumed: no level lies below any
+    shift, and the counts at (E1 + E2)/2 (of the two sectors, or of H) sum
+    to 2, so E0, E1 are the two lowest levels and E2 the third.  A count
+    that disagrees with the computed levels raises EigensolverError.  The
+    near shifts keep the absolute eigenvalue error ~eps * |E - sigma| small
+    against the splitting, which can be many orders smaller than E0.
     """
-    defect = parity_defect(op.matrix)
-    res = None
-    if (op.grid.n > DENSE_FALLBACK_N
-            and defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))):
-        res = _parity_levels(op, seed)
-    path = "full" if res is None else "parity"
+    M = op.matrix
+    symmetric, defect = _commutes_with_parity(M)
+    blocks = parity_blocks(M) if symmetric else None
+    res = _parity_levels(op, blocks, seed) if symmetric else None
+    path = "parity"
     if res is None:
-        res = _full_levels(op, seed)
+        path, blocks, res = "full", (M,), _full_levels(op, seed)
     e0, e1, e2 = res.eigenvalues
+    cut = 0.5 * (e1 + e2)
+    pair = sum(count_below(B, cut) for B in blocks)
+    if pair != 2:
+        raise EigensolverError(
+            "%d level(s) lie below (E1 + E2)/2 = %.17g, where the computed "
+            "levels E0, E1, E2 = %.17g, %.17g, %.17g put 2"
+            % (pair, cut, e0, e1, e2))
     delta = e1 - e0
     separated = (e2 - e1) > separation_factor * max(delta, 1e-300)
     if not separated:
@@ -371,42 +436,42 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
                       "splitting %.3g" % (e2 - e1, delta))
     return SplittingResult(delta=float(delta), energies=[e0, e1, e2],
                            spectral=res, cluster_separated=separated,
-                           path=path, parity_defect=defect)
+                           path=path, parity_defect=defect,
+                           shifts=res.shifts,
+                           shift_counts=[0] * len(res.shifts),
+                           pair_count=pair)
 
 
 def _full_levels(op: SparseHermitianOp, seed: int) -> SpectralResult:
-    """E0..E2 of H itself, the second pass shifted just below the cluster."""
-    res = lowest_eigs(op, k=3, seed=seed)
-    e0, e1, e2 = res.eigenvalues
-    margin = max(e2 - e0, 1e-8 * max(abs(e0), 1.0))
-    return lowest_eigs(op, k=3, seed=seed, sigma=e0 - margin)
+    """E0..E2 of H itself, by one k = 3 pass from the oscillator level."""
+    vals, vecs, sigma = _lowest_near(op.matrix, 3,
+                                     _oscillator_level(op.params), seed)
+    return _verified_result(op, vals, vecs, shifts=[sigma])
 
 
-def _parity_levels(op: SparseHermitianOp,
+def _parity_levels(op: SparseHermitianOp, blocks,
                    seed: int) -> Optional[SpectralResult]:
-    """E0..E2 from the even and odd blocks of H, or None when the two lowest
-    levels are not one ground level per sector."""
-    blocks = parity_blocks(op.matrix)            # (even, odd)
-    lower = _gershgorin_shift(op)
-    grounds = [_shift_invert(B, 1, lower, seed)[0][0] for B in blocks]
-    e0 = min(grounds)
-    sigma = e0 - max(abs(grounds[1] - grounds[0]), 1e-8 * max(abs(e0), 1.0))
-    levels = []                                  # (E, rank in sector, field)
-    for B, g, sign in zip(blocks, grounds, (1, -1)):
-        vals, vecs = _shift_invert(B, 2, sigma, seed)
-        # the first pass started below the whole spectrum, so its value is
-        # the sector's lowest level; the second must find the same one
-        if abs(vals[0] - g) > GROUND_REPRODUCE_RTOL * max(abs(g), 1.0):
-            raise EigensolverError(
-                "parity sector %+d: ground level %.17g near the pair differs "
-                "from %.17g found from below the spectrum" % (sign, vals[0], g))
+    """E0..E2 from the (even, odd) blocks of H, or None when the two lowest
+    levels are not one ground level per sector.
+
+    The odd sector starts from the even sector's shift, so that both are
+    normally solved at one shift: their rounding errors are then correlated
+    and cancel in E1 - E0 (at lam = 45 an odd shift at the even ground moved
+    Delta0 by 8e-9 relative with the Lanczos seed, a common one by 3e-10).
+    """
+    sigma = _oscillator_level(op.params)
+    levels, shifts = [], []                      # (E, rank in sector, field)
+    for B, sign in zip(blocks, (1, -1)):
+        vals, vecs, sigma = _lowest_near(B, 2, sigma, seed)
+        shifts.append(sigma)
         levels += [(vals[j], j, unfold_parity(vecs[:, j], sign))
                    for j in range(2)]
     levels.sort(key=lambda lv: lv[0])
     if levels[0][1] != 0 or levels[1][1] != 0:
         return None
     return _verified_result(op, np.array([lv[0] for lv in levels[:3]]),
-                            np.stack([lv[2] for lv in levels[:3]], axis=1))
+                            np.stack([lv[2] for lv in levels[:3]], axis=1),
+                            shifts=shifts)
 
 
 RATIO_CSV_COLUMNS = ["lambda", "b", "d1", "E0", "E1", "Delta", "abs_rho",

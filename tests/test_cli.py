@@ -110,6 +110,16 @@ def test_splitting_reports_solver_path(capsys):
     assert "path   = parity (parity defect " in out
 
 
+def test_splitting_prints_its_count_certificate(capsys):
+    rc = cli.main(["splitting", "--lam", "2", "--a", "0.3", "--d1", "0.35",
+                   "--grid-n", "50"])
+    assert rc == EXIT_OK
+    line, = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("counts = ")]
+    assert line.startswith("counts = 0, 0 below shifts ")
+    assert "; 2 below (E1+E2)/2 = " in line
+
+
 def test_partition_check_suite_passes(capsys):
     rc = cli.main(["partition-check"])
     assert rc == EXIT_OK
@@ -121,7 +131,7 @@ def test_check_suites_registry():
     assert set(cli.CHECK_SUITES) == {"mho", "landau", "blaschke", "partition"}
 
 
-def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys):
+def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys, monkeypatch):
     out = tmp_path / "results"
     config = write(tmp_path / "sweep.ini", SWEEP_INI.format(out=out))
 
@@ -131,6 +141,11 @@ def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys):
     assert "cache hit" not in captured.out
 
     manifest = json.loads((out / "manifest.json").read_text())
+    # the BLAS thread settings seen at sweep start, unset ones as null
+    assert manifest["blas_threads"] == {
+        v: os.environ.get(v)
+        for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                  "MKL_NUM_THREADS")}
     assert len(manifest["points"]) == 1
     (key, entry), = manifest["points"].items()
     assert entry["status"] == "ok"
@@ -143,10 +158,14 @@ def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys):
     ratio = float(rows[1][rows[0].index("ratio")])
     assert 0.5 < ratio < 2.0
 
-    # second run: all points served from the manifest cache
+    # second run: all points served from the manifest cache, which the
+    # thread settings stay out of
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
     rc = cli.main(["sweep", "--config", config])
     assert rc == EXIT_OK
     assert "cache hit" in capsys.readouterr().out
+    assert json.loads((out / "manifest.json").read_text())[
+        "blas_threads"]["MKL_NUM_THREADS"] == "3"
 
     # rows made by other code are stale: the point is computed again
     manifest["code_version"] = "0" * 16

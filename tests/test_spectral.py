@@ -17,6 +17,7 @@ from maglab.spectral import (
     _project_once,
     _rank_probes,
     _shift_invert,
+    count_below,
     lowest_eigs,
     projector_rank_estimate,
     riesz_project,
@@ -250,3 +251,32 @@ def test_quasimodes_factorizes_each_node_once_per_sweep(monkeypatch):
     # [Q | Pi pair], with no doubling and one LU alive at a time
     assert alive_at_call == [0] * 32 and _TrackedLU.alive == 0
     assert abs(qm.rank_estimate - 2.0) < 1e-6
+
+
+def test_count_below_matches_dense_eigvalsh():
+    op = make_op(n=56)
+    w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 4])
+    points = ([w[0] - 1.0]                                   # below
+              + [0.5 * (w[j] + w[j + 1]) for j in range(3)]  # mid-gaps
+              + [0.5 * (w[3] + w[4])])                       # above E3
+    assert [count_below(op.matrix, s) for s in points] == [0, 1, 2, 3, 4]
+
+
+def test_count_below_rejects_off_diagonal_pivots(monkeypatch):
+    op = make_op(n=30)
+    splu = spla.splu
+
+    class Pivoted:
+        def __init__(self, lu):
+            self._lu = lu
+            self.perm_r = lu.perm_r[::-1]
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    monkeypatch.setattr(spla, "splu",
+                        lambda *args, **kwargs: Pivoted(splu(*args, **kwargs)))
+    with pytest.raises(EigensolverError, match="perm_r != perm_c"):
+        count_below(op.matrix, 0.0)
+    with pytest.raises(EigensolverError, match="perm_r != perm_c"):
+        lowest_eigs(make_op(n=56), k=1)

@@ -3,11 +3,13 @@ the generalized-eigenvalue oracle for the splitting formula, the parity-sector
 splitting solve against the full-operator one, and the ratio CSV plumbing."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
 from maglab.grid_model import (
     Grid2D,
@@ -17,14 +19,23 @@ from maglab.grid_model import (
     build_operator,
     choose_grid,
 )
-from maglab.spectral import DENSE_FALLBACK_N, _gershgorin_shift, lowest_eigs
+from maglab import tunneling
+from maglab.spectral import (
+    DENSE_FALLBACK_N,
+    EigensolverError,
+    _gershgorin_bound,
+    _gershgorin_shift,
+    lowest_eigs,
+)
 from maglab.tunneling import (
     PARITY_RTOL,
     DegenerateQuasimodeError,
     GroundStateError,
     RATIO_CSV_COLUMNS,
     RatioRow,
+    _even_ground,
     _full_levels,
+    _oscillator_level,
     cutoff_field,
     hopping_coefficient,
     mho_ground_field,
@@ -304,3 +315,76 @@ def test_ratio_csv_roundtrip(tmp_path):
     assert rows[0].as_list() == pytest.approx(row.as_list())
     header = path.read_text().splitlines()[0]
     assert header.split(",") == RATIO_CSV_COLUMNS
+
+
+def test_splitting_carries_count_certificate():
+    op = small_double_well(0.05)
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0)
+    assert sd.path == "parity"
+    w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 3])
+    np.testing.assert_allclose(sd.energies, w[:3], rtol=1e-9)
+    # one shift per sector, no level of its sector below it (E0 is even,
+    # E1 odd), and two levels below (E1 + E2)/2
+    assert len(sd.shifts) == 2 and sd.shift_counts == [0, 0]
+    assert sd.shifts[0] < w[0] and sd.shifts[1] < w[1]
+    assert sd.pair_count == 2
+    assert sd.spectral.shifts == sd.shifts
+
+
+def test_splitting_raises_when_a_count_disagrees(monkeypatch):
+    op = small_double_well(0.05)
+    monkeypatch.setattr(tunneling, "count_below", lambda M, sigma: 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigensolverError,
+                           match=r"6 level\(s\) lie below .* put 2"):
+            splitting_direct(op, seed=0)
+
+
+def test_single_well_refuses_an_odd_ground_level():
+    # an odd two-site well -depth * o o^T, o = (delta_k - delta_{N-1-k}) /
+    # sqrt(2), keeps H commuting with x -> -x but makes its lowest level odd
+    op = small_double_well(0.05)
+    N = op.dimension
+    H = op.matrix.tolil()
+    k = N // 3
+    for i, j, sign in ((k, k, 1), (N - 1 - k, N - 1 - k, 1),
+                       (k, N - 1 - k, -1), (N - 1 - k, k, -1)):
+        H[i, j] -= sign * 100.0
+    op = SparseHermitianOp(matrix=H.tocsr(), grid=op.grid, params=op.params,
+                           n_wells=op.n_wells)
+    w, V = la.eigh(op.matrix.toarray(), subset_by_index=[0, 1])
+    assert np.vdot(V[:, 0], V[::-1, 0]).real < -0.99       # odd ground
+    try:
+        res = _even_ground(op, _oscillator_level(op.params), seed=0)
+    except EigensolverError as err:
+        assert "1 even and 1 odd" in str(err)
+    else:
+        assert abs(res.eigenvalues[0] - w[0]) <= 1e-9 * abs(w[0])
+
+
+def test_parity_path_makes_one_near_eigsh_call_per_sector(monkeypatch):
+    calls = []
+    eigsh = spla.eigsh
+
+    def counting_eigsh(A, *args, **kwargs):
+        calls.append((A.shape[0], kwargs["k"], kwargs["sigma"],
+                      _gershgorin_bound(A)))
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting_eigsh)
+    op = small_double_well(0.05)
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0)
+    assert sd.path == "parity"
+    assert [(n, k) for n, k, _, _ in calls] == [(op.dimension // 2, 2)] * 2
+    # neither pass runs at the Gershgorin bound
+    assert all(sigma > bound for _, _, sigma, bound in calls)
+
+    calls.clear()
+    params = ModelParams(lam=2.0, b=0.05, d1=0.35, a=0.3)
+    res, sw = single_well_ground(params, DENSE_FALLBACK_N + 2, seed=0)
+    assert [(n, k) for n, k, _, _ in calls] == [(sw.dimension // 2, 1)]
+    assert calls[0][2] > calls[0][3]
+    assert res.shifts == [calls[0][2]]
