@@ -199,6 +199,7 @@ def _lowest_near(M, k: int, start: float, seed: int):
     sigma, step = start, (start - bound) / 64.0
     lu, below = _factor_below(M, sigma, bound)
     while below:
+        lu = None                    # freed before the next one is made
         sigma = max(sigma - step, bound - 1.0)
         step *= 2.0
         lu, below = _factor_below(M, sigma, bound)

@@ -400,8 +400,8 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
     sector from the oscillator level (`_oscillator_level`), the odd sector
     from the even sector's shift, each shift lowered until the inertia count
     puts no level of its sector below it (`spectral._lowest_near`).  E2 is
-    the smaller second in-sector level.  The eigenvectors are unfolded to full-size fields and
-    their residuals measured against the full H.
+    the smaller second in-sector level.  The eigenvectors are unfolded to
+    full-size fields and their residuals measured against the full H.
 
     The "full" path, taken for asymmetric operators (a shifted gauge origin,
     unequal or off-axis wells) and for a pair lying within one sector, solves
@@ -456,8 +456,9 @@ def _parity_levels(op: SparseHermitianOp, blocks,
 
     The odd sector starts from the even sector's shift, so that both are
     normally solved at one shift: their rounding errors are then correlated
-    and cancel in E1 - E0 (at lam = 45 an odd shift at the even ground moved
-    Delta0 by 8e-9 relative with the Lanczos seed, a common one by 3e-10).
+    and cancel in E1 - E0 (at lam = 45, b = 0.05, n = 320, Delta0 moved by
+    8e-9 relative between two Lanczos seeds with the odd shift at the even
+    ground, and by 3e-10 with one common shift).
     """
     sigma = _oscillator_level(op.params)
     levels, shifts = [], []                      # (E, rank in sector, field)
