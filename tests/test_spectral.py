@@ -256,10 +256,12 @@ def test_quasimodes_factorizes_each_node_once_per_sweep(monkeypatch):
 def test_count_below_matches_dense_eigvalsh():
     op = make_op(n=56)
     w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 4])
-    points = ([w[0] - 1.0]                                   # below
+    points = ([w[0] - 1.0, w[0] - 1e-6]                      # below
+              + [w[0] + 1e-6]                                # just above E0
               + [0.5 * (w[j] + w[j + 1]) for j in range(3)]  # mid-gaps
               + [0.5 * (w[3] + w[4])])                       # above E3
-    assert [count_below(op.matrix, s) for s in points] == [0, 1, 2, 3, 4]
+    assert ([count_below(op.matrix, s) for s in points]
+            == [0, 0, 1, 1, 2, 3, 4])
 
 
 def test_count_below_rejects_off_diagonal_pivots(monkeypatch):
