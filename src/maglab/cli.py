@@ -232,12 +232,16 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     res = lowest_eigs(op, k=args.k, seed=args.seed)
     for j, ev in enumerate(res.eigenvalues):
         print("E%d = %.12e   (residual %.2e)" % (j, ev, res.residuals[j]))
-    out = _ensure_out(args)
     params, grid = op.params, op.grid
-    res.save_bundle(os.path.join(out, "spectrum.json"),
-                    lam=float(np.real(params.lam)), b=params.b, d1=params.d1,
-                    a=params.a, grid_n=grid.n, grid_L=grid.half_extent)
-    print("bundle: %s" % os.path.join(out, "spectrum.json"))
+    path = os.path.join(_ensure_out(args), "spectrum.json")
+    bundle = {"eigenvalues": res.eigenvalues, "residuals": res.residuals,
+              "orthogonality_defect": float(res.orthogonality_defect),
+              "metadata": {"lam": float(np.real(params.lam)), "b": params.b,
+                           "d1": params.d1, "a": params.a, "grid_n": grid.n,
+                           "grid_L": grid.half_extent}}
+    with open(path, "w") as fh:
+        json.dump(bundle, fh, indent=1)
+    print("bundle: %s" % path)
     return EXIT_OK
 
 

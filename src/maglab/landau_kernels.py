@@ -156,51 +156,51 @@ def _ts_nodes(level):
 _GLX, _GLW = np.polynomial.legendre.leggauss(24)
 
 
-def _raw_integral(a, z, level):
-    """int_0^inf e^{-tz} t^{a-1} (1+t)^{-a} dt  (= Gamma(a) U(a,1,z)).
+def _integrand(a, zz, t, dt):
+    """sum over nodes t (weights dt) of t^a (1+t)^{-a} e^{-tz} (z + a/(1+t)),
+    in log form; zz is z with a trailing node axis."""
+    body = np.exp(-t * zz + a * np.log(t) - a * np.log1p(t))
+    return np.sum(body * (zz + a / (1 + t)) * dt, axis=-1)
 
-    Evaluated after one integration by parts,
 
-        = (1/a) int_0^inf t^a (1+t)^{-a} e^{-tz} (z + a/(1+t)) dt,
+def _head(a, zz, level):
+    """The [0, 1] part of `gamma_tricomi_u`'s integral, tanh-sinh at level."""
+    return _integrand(a, zz, *_ts_nodes(level))
 
-    which removes the t^{a-1} endpoint singularity exactly (for small Re a
-    the mass of the original integrand sits at t ~ e^{-1/a}, far below any
-    floating-point node; the 1/a pole is carried analytically instead).
-    a scalar, z scalar or 1-d array; the integrand is assembled in log form.
-    """
-    z = np.asarray(z, dtype=complex)
-    zz = z[..., None]
 
-    def chunk(t, dt):
-        body = np.exp(-t * zz + a * np.log(t) - a * np.log1p(t))
-        return np.sum(body * (zz + a / (1 + t)) * dt, axis=-1)
-
-    t, dt = _ts_nodes(level)
-    head = chunk(t, dt)
-
-    # tail over [1, inf): geometric panels, truncated on the envelope test
+def _tail(a, zz, head):
+    """The [1, inf) part: geometric Gauss-Legendre panels, truncated when a
+    panel falls below 1e-17 of |head + tail| (the tail does not depend on
+    the head's quadrature level)."""
     tail = np.zeros_like(head)
     lo = 1.0
     for _ in range(300):   # reaches t ~ 2^300: covers Re z down to ~1e-88
         hi = 2 * lo
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        piece = rad * chunk(mid + rad * _GLX, _GLW)
+        piece = rad * _integrand(a, zz, mid + rad * _GLX, _GLW)
         tail = tail + piece
         ref = np.maximum(np.abs(head + tail), 1e-300)
         if np.all(np.abs(piece) < 1e-17 * ref):
-            break
+            return tail
         lo = hi
-    else:
-        raise DomainError("tail of the U integral did not converge "
-                          "(Re z too small?)")
-    return (head + tail) / a
+    raise DomainError("tail of the U integral did not converge "
+                      "(Re z too small?)")
 
 
 def gamma_tricomi_u(a, z, rel_tol: float = 1e-10):
-    """Gamma(a) * U(a, 1, z) as one un-normalized Laplace integral.
+    """Gamma(a) * U(a, 1, z) as one un-normalized Laplace integral,
 
-    Requires Re a > 0 and Re z > 0.  z may be an array; the quadrature level
-    is refined until two successive levels agree to rel_tol.
+        int_0^inf e^{-tz} t^{a-1} (1+t)^{-a} dt
+          = (1/a) int_0^inf t^a (1+t)^{-a} e^{-tz} (z + a/(1+t)) dt
+
+    after one integration by parts, which removes the t^{a-1} endpoint
+    singularity exactly (for small Re a the mass of the original integrand
+    sits at t ~ e^{-1/a}, far below any floating-point node; the 1/a pole is
+    carried analytically instead).
+
+    Requires Re a > 0 and Re z > 0.  z may be an array.  The [1, inf) tail
+    is computed once; the tanh-sinh level of the [0, 1] head is refined
+    until two successive levels agree to rel_tol.
     """
     a = complex(a)
     zarr = np.asarray(z, dtype=complex)
@@ -208,9 +208,12 @@ def gamma_tricomi_u(a, z, rel_tol: float = 1e-10):
         raise DomainError("integral representation needs Re a > 0")
     if np.any(np.real(zarr) <= 0):
         raise DomainError("integral representation needs Re z > 0")
-    prev = _raw_integral(a, zarr, 4)
+    zz = zarr[..., None]
+    head = _head(a, zz, 4)
+    tail = _tail(a, zz, head)
+    prev = (head + tail) / a
     for level in (5, 6, 7):
-        cur = _raw_integral(a, zarr, level)
+        cur = (_head(a, zz, level) + tail) / a
         if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur)):
             return cur if np.ndim(z) else complex(cur)
         prev = cur

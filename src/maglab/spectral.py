@@ -27,21 +27,32 @@ take less time and memory at the same residual.  There are two LU modes:
   bound the count is skipped: the bound already proves it, and reading U's
   diagonal copies all of U.
 
-A projection sweeps the m/2 nodes once for a block of right-hand sides,
-factorizing each node and dropping its LU before the next, so one contour LU
-is alive at a time.  The m/2 factors are not kept across sweeps: at about
-15 MB each (N = 18 496; 30 MB under COLAMD), m/2 = 16 of them would add about
-240 MB to a process that otherwise peaks near 190 MB.
-`riesz_project_with_rank` projects fields f and checks the projector's rank
-in two sweeps: the first projects the rank probes Z together with f, the
-second the orthonormal range Q of Pi Z together with Pi f (for the
-idempotence check).  The deflated Hutch++ term needs Pi applied to
+A projection is one sweep over the m/2 conjugate node pairs, factorizing
+each node and dropping its LU before the next, so one contour LU is alive at
+a time (the m/2 factors, about 15 MB each at N = 18 496, are never held
+together).  The sweep returns Pi_m v and Pi_m^2 v together.  With
+Pi_m = sum_j w_j R_j, w_j = (radius/m) xi_j and R_j = (z_j - H)^{-1}, the
+resolvent identity R_j R_k = (R_j - R_k) / (z_k - z_j) turns the double sum
+of Pi_m^2 into a single one,
+
+    Pi_m^2 v = sum_j [ w_j^2 R_j (R_j v) + 2 w_j c_j R_j v ],
+    c_j = sum_{k != j} w_k / (z_k - z_j),
+
+exactly, so each node costs one more solve on the LU in hand and nothing
+per node is stored.  The idempotence check ||Pi_m^2 f - Pi_m f|| and the
+rank check then need no second sweep: `riesz_project_with_rank` projects
+the rank probes Z together with the fields f, and the Hutch++ range term
+takes Pi Q for Q = orth(Pi Z) from W = Pi^2 Z.  Q is cut from the SVD
+Pi Z = U S V* (Q = U_k, Pi Q = W V_k S_k^{-1}, directions with s_i below
+RANGE_CUTOFF * s_1 dropped), not from a QR: Pi Z has singular values of
+1e-10 to 1e-16 beyond the enclosed levels, and dividing by them amplifies
+rounding (a QR route gave rank estimates of 3.19 and 2.0037 for a rank-2
+projector).  The deflated Hutchinson term needs Pi applied to
 Z - Q Q* Z, which the linear trapezoid sum gives as Pi Z - (Pi Q) Q* Z.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -73,19 +84,6 @@ class SpectralResult:
     # dense path); no eigenvalue lies below any of them, by the count on
     # its LU or by the Gershgorin bound at or above it
     shifts: List[float] = field(default_factory=list)
-
-    def to_bundle(self, **metadata) -> dict:
-        """JSON-serializable result bundle (without the eigenvector payload)."""
-        return {
-            "eigenvalues": list(map(float, self.eigenvalues)),
-            "residuals": list(map(float, self.residuals)),
-            "orthogonality_defect": float(self.orthogonality_defect),
-            "metadata": metadata,
-        }
-
-    def save_bundle(self, path, **metadata) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_bundle(**metadata), fh, indent=1)
 
 
 def _gershgorin_bound(M) -> float:
@@ -359,35 +357,48 @@ class ContourSolveError(RuntimeError):
         self.node = node
 
 
-def _project_once(op: SparseHermitianOp, contour: Contour, vecs: np.ndarray,
-                  m: int) -> np.ndarray:
-    """One sweep: the trapezoid Riesz projection of the columns of vecs.
+def _sweep(op: SparseHermitianOp, contour: Contour, vecs: np.ndarray,
+           m: int):
+    """(Pi_m vecs, Pi_m^2 vecs): one sweep over the m/2 conjugate node pairs.
 
-    Pi f = (1/2pi i) oint (z - H)^{-1} f dz = (radius/m) sum_j xi_j (z_j-H)^{-1} f.
-    One LU factorization at z also serves the node conj(z) via a transposed
-    solve, since H is Hermitian.  Each LU is dropped before the next node is
-    factorized, so one is alive at a time.
+    Pi_m = sum_j w_j R_j with w_j = (radius/m) xi_j, R_j = (z_j - H)^{-1};
+    Pi_m^2 = sum_j [w_j^2 R_j^2 + 2 w_j c_j R_j], c_j = sum_{k!=j} w_k/(z_k-z_j)
+    (module docstring).  One LU factorization at z also serves the node
+    conj(z) via a transposed solve, since H is Hermitian; each node solves
+    twice on it, for R v and R (R v).  Each LU is dropped before the next
+    node is factorized, so one is alive at a time.
     """
     M = op.matrix
     N = M.shape[0]
     zs, xis = contour.nodes(m)
     half = m // 2
+    # the nodes summed: z_j, then conj(z_j) (index m-1-j of a real-centred
+    # circle), j < m/2
+    z = np.concatenate([zs[:half], np.conj(zs[:half])])
+    w = (contour.radius / m) * np.concatenate([xis[:half], np.conj(xis[:half])])
+    gap = z[None, :] - z[:, None]                       # gap[j, k] = z_k - z_j
+    np.fill_diagonal(gap, np.inf)
+    c = np.sum(w[None, :] / gap, axis=1)
     eye = sp.identity(N, dtype=complex, format="csc")
-    acc = np.zeros_like(vecs)
+    acc1 = np.zeros_like(vecs)
+    acc2 = np.zeros_like(vecs)
     for j in range(half):
-        z, xi = zs[j], xis[j]
         try:
-            lu = _factor(z * eye - M)
+            lu = _factor(z[j] * eye - M)
         except RuntimeError as exc:  # singular factorization
-            raise ContourSolveError(z, str(exc)) from exc
-        sol = lu.solve(vecs)
-        acc += xi * sol
-        # conjugate node: z' = conj(z) appears at index m-1-j with xi' = conj(xi);
-        # (conj(z) - H)^{-1} f = conj((z - H)^{-T} conj(f)) since H is Hermitian
-        sol_c = np.conj(lu.solve(np.conj(vecs), trans="T"))
-        acc += np.conj(xi) * sol_c
+            raise ContourSolveError(z[j], str(exc)) from exc
+        r1 = lu.solve(vecs)
+        r2 = lu.solve(r1)
+        acc1 += xis[j] * r1
+        acc2 += xis[j] * (w[j] * r2 + 2.0 * c[j] * r1)
+        # conjugate node: (conj(z) - H)^{-1} f = conj((z - H)^{-T} conj(f))
+        r1 = lu.solve(np.conj(vecs), trans="T")
+        r2 = np.conj(lu.solve(r1, trans="T"))
+        r1 = np.conj(r1)
+        acc1 += np.conj(xis[j]) * r1
+        acc2 += np.conj(xis[j]) * (w[half + j] * r2 + 2.0 * c[half + j] * r1)
         del lu
-    return (contour.radius / m) * acc
+    return (contour.radius / m) * acc1, (contour.radius / m) * acc2
 
 
 def _field_columns(f):
@@ -405,22 +416,22 @@ def _as_fields(grid, vecs: np.ndarray, single: bool):
 def _until_idempotent(op: SparseHermitianOp, contour: Contour,
                       vecs: np.ndarray, p1: np.ndarray, p2: np.ndarray,
                       m: int, idempotence_tol: float = 1e-8,
-                      max_doublings: int = 4) -> np.ndarray:
-    """Pi_m vecs at the first m whose idempotence defect
-    ||Pi_m(Pi_m f) - Pi_m f|| <= tol * ||f|| holds for every column f.
+                      max_doublings: int = 4):
+    """(Pi_m vecs, m, defect) at the first m whose idempotence defect
+    ||Pi_m^2 f - Pi_m f|| / ||f|| <= tol holds for every column f; defect
+    is its maximum over the columns.
 
-    (p1, p2) = (Pi_m vecs, Pi_m p1) at the starting m; each doubling of m
-    sweeps the fields twice more.
+    (p1, p2) = (Pi_m vecs, Pi_m^2 vecs) at the starting m; each doubling of
+    m is one more sweep over the fields.
     """
     norms = np.linalg.norm(vecs, axis=0)
     for doubling in range(max_doublings + 1):
         if doubling:
             m *= 2
-            p1 = _project_once(op, contour, vecs, m)
-            p2 = _project_once(op, contour, p1, m)
-        defect = np.max(np.linalg.norm(p2 - p1, axis=0) / norms)
+            p1, p2 = _sweep(op, contour, vecs, m)
+        defect = float(np.max(np.linalg.norm(p2 - p1, axis=0) / norms))
         if defect <= idempotence_tol:
-            return p1
+            return p1, m, defect
     raise RuntimeError("projector idempotence defect %.3g > %.3g even at "
                        "m=%d nodes" % (defect, idempotence_tol, m))
 
@@ -434,10 +445,9 @@ def riesz_project(op: SparseHermitianOp, contour: Contour, f,
     """
     single, vecs = _field_columns(f)
     m = contour.quadrature_nodes
-    p1 = _project_once(op, contour, vecs, m)
-    p2 = _project_once(op, contour, p1, m)
-    p1 = _until_idempotent(op, contour, vecs, p1, p2, m, idempotence_tol,
-                           max_doublings)
+    p1, p2 = _sweep(op, contour, vecs, m)
+    p1, _, _ = _until_idempotent(op, contour, vecs, p1, p2, m,
+                                 idempotence_tol, max_doublings)
     return _as_fields(op.grid, p1, single)
 
 
@@ -446,16 +456,28 @@ def _rank_probes(N: int, probes: int, seed: int) -> np.ndarray:
     return rng.choice([-1.0, 1.0], size=(N, probes)).astype(complex)
 
 
-def _deflated_trace(Z: np.ndarray, Y: np.ndarray, Q: np.ndarray,
-                    PQ: np.ndarray) -> float:
-    """Hutch++ trace of Pi from Y = Pi Z and PQ = Pi Q, Q = orth(Y).
+# The range Q of Y = Pi Z in the Hutch++ estimate keeps the singular
+# directions of Y with s_i > RANGE_CUTOFF * s_1.  Pi Q is W V_k / S_k with
+# W = Pi^2 Z, so a kept direction divides by s_i; the dropped ones are the
+# quadrature leakage outside the enclosed levels (s_i ~ 1e-10 to 1e-16),
+# where that division would amplify rounding into the trace.
+RANGE_CUTOFF = 1e-6
 
-    The range term tr(Q* Pi Q) carries the whole trace of a projector of
-    rank <= probes; the Hutchinson term on the deflated probes
+
+def _deflated_trace(Z: np.ndarray, Y: np.ndarray, W: np.ndarray) -> float:
+    """Hutch++ trace of Pi from Y = Pi Z and W = Pi^2 Z.
+
+    Q = U_k and Pi Q = W V_k S_k^{-1} from the SVD Y = U S V* cut at
+    RANGE_CUTOFF.  The range term tr(Q* Pi Q) carries the whole trace of a
+    projector of rank <= probes; the Hutchinson term on the deflated probes
     G = Z - Q (Q* Z) only corrects quadrature leakage.  Pi G is
-    Y - PQ (Q* Z): the trapezoid Pi_m is linear, so no sweep over G is
-    needed.
+    Y - (Pi Q)(Q* Z): the trapezoid Pi_m is linear, so no sweep over G or Q
+    is needed.
     """
+    U, s, Vh = np.linalg.svd(Y, full_matrices=False)
+    k = int(np.count_nonzero(s > RANGE_CUTOFF * s[0]))
+    Q = U[:, :k]
+    PQ = W @ (Vh[:k].conj().T / s[:k])
     C = Q.conj().T @ Z
     G = Z - Q @ C
     PG = Y - PQ @ C
@@ -466,17 +488,15 @@ def _deflated_trace(Z: np.ndarray, Y: np.ndarray, Q: np.ndarray,
 
 def projector_rank_estimate(op: SparseHermitianOp, contour: Contour,
                             probes: int = 8, seed: int = 0) -> float:
-    """Trace estimate of the Riesz projector via random probes, in two
-    sweeps (over Z, then over Q = orth(Pi Z)).
+    """Trace estimate of the Riesz projector via random probes, in one
+    sweep over Z.
 
     Deflated (Hutch++-style) estimator, see `_deflated_trace`: for a
     projector of rank <= probes the variance is negligible, unlike plain
     Hutchinson whose per-probe variance is O(rank)."""
-    m = contour.quadrature_nodes
     Z = _rank_probes(op.matrix.shape[0], probes, seed)
-    Y = _project_once(op, contour, Z, m)
-    Q, _ = np.linalg.qr(Y)
-    return _deflated_trace(Z, Y, Q, _project_once(op, contour, Q, m))
+    return _deflated_trace(Z, *_sweep(op, contour, Z,
+                                      contour.quadrature_nodes))
 
 
 class ClusterError(RuntimeError):
@@ -486,30 +506,29 @@ class ClusterError(RuntimeError):
 def riesz_project_with_rank(op: SparseHermitianOp, contour: Contour, f,
                             rank: int, rank_tol: float = 0.1,
                             probes: int = 8, seed: int = 0):
-    """(projected fields, rank estimate): `riesz_project` of f and
-    `projector_rank_estimate` in the same two sweeps over the nodes.
+    """(projected fields, rank estimate, nodes, idempotence defect):
+    `riesz_project` of f and `projector_rank_estimate` in one sweep over the
+    nodes, which projects [Z | f] and gives Pi^2 of both.
 
-    Sweep 1 projects [Z | f], sweep 2 [Q | Pi f] with Q = orth(Pi Z).  A
-    ClusterError is raised when the estimate is farther than rank_tol from
-    rank, before any doubling; a failed idempotence check then doubles m for
-    the fields alone, as in `riesz_project` with its default tolerance.
-    rank is the number of levels the caller means the contour to enclose
-    (2 for the double-well pair in `tunneling.quasimodes`); the check is made
-    here rather than by the caller so that a wrong contour fails before the
+    nodes is the m used after any doubling and the defect the largest
+    ||Pi_m^2 f - Pi_m f|| / ||f|| over the fields at that m.  A ClusterError
+    is raised when the estimate is farther than rank_tol from rank, before
+    any doubling; a failed idempotence check then doubles m for the fields
+    alone, as in `riesz_project` with its default tolerance.  rank is the
+    number of levels the caller means the contour to enclose (2 for the
+    double-well pair in `tunneling.quasimodes`); the check is made here
+    rather than by the caller so that a wrong contour fails before the
     doubling spends more sweeps on it.
     """
     single, vecs = _field_columns(f)
     m = contour.quadrature_nodes
     Z = _rank_probes(vecs.shape[0], probes, seed)
-    Y, p1 = np.hsplit(_project_once(op, contour, np.hstack([Z, vecs]), m),
-                      [probes])
-    Q, _ = np.linalg.qr(Y)
-    PQ, p2 = np.hsplit(_project_once(op, contour, np.hstack([Q, p1]), m),
-                       [Q.shape[1]])
-    estimate = _deflated_trace(Z, Y, Q, PQ)
+    P1, P2 = _sweep(op, contour, np.hstack([Z, vecs]), m)
+    estimate = _deflated_trace(Z, P1[:, :probes], P2[:, :probes])
     if abs(estimate - rank) > rank_tol:
         raise ClusterError("projector rank estimate %.3f is not %d "
                            "(contour center %s radius %g)"
                            % (estimate, rank, contour.center, contour.radius))
-    p1 = _until_idempotent(op, contour, vecs, p1, p2, m)
-    return _as_fields(op.grid, p1, single), estimate
+    p1, m, defect = _until_idempotent(op, contour, vecs, P1[:, probes:],
+                                      P2[:, probes:], m)
+    return _as_fields(op.grid, p1, single), estimate, m, defect

@@ -248,6 +248,8 @@ class QuasimodePair:
     cross_overlap: float
     contour: Contour
     rank_estimate: float
+    nodes: int                   # quadrature nodes m used, after any doubling
+    idempotence_defect: float    # max over the pair of ||Pi^2 f - Pi f||/||f||
 
     def defects(self) -> dict:
         return {"norm_minus": abs(self.norm_minus - 1.0),
@@ -267,8 +269,8 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     `splitting_direct`.
 
     The projector's rank is estimated from rank_probes random probes in the
-    same two sweeps over the m/2 contour nodes that project the pair
-    (`riesz_project_with_rank`): 2 * m/2 LUs, one alive at a time.  A
+    same sweep over the m/2 contour nodes that projects the pair
+    (`riesz_project_with_rank`): m/2 LUs, one alive at a time.  A
     spectral.ClusterError is raised unless the estimate is within rank_tol
     of 2; a failed idempotence check doubles m for the pair alone.
     """
@@ -285,14 +287,15 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     phi_plus = magnetic_translate(base, (+d1s, 0.0), blam)
     phi_minus = magnetic_translate(base, (-d1s, 0.0), blam)
 
-    (psi_minus, psi_plus), rank = riesz_project_with_rank(
+    (psi_minus, psi_plus), rank, nodes, defect = riesz_project_with_rank(
         op, contour, [phi_minus, phi_plus], rank=2, rank_tol=rank_tol,
         probes=rank_probes, seed=seed)
     return QuasimodePair(
         psi_minus=psi_minus, psi_plus=psi_plus,
         norm_minus=psi_minus.norm(), norm_plus=psi_plus.norm(),
         cross_overlap=abs(psi_minus.inner(psi_plus)),
-        contour=contour, rank_estimate=rank)
+        contour=contour, rank_estimate=rank, nodes=nodes,
+        idempotence_defect=defect)
 
 
 @dataclass

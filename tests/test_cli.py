@@ -110,6 +110,25 @@ def test_splitting_reports_solver_path(capsys):
     assert "path   = parity (parity defect " in out
 
 
+def test_spectrum_writes_its_bundle(tmp_path, capsys):
+    rc = cli.main(["spectrum", "--lam", "2", "--a", "0.3", "--d1", "0.35",
+                   "--grid-n", "50", "--k", "3", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    with open(tmp_path / "spectrum.json") as fh:
+        bundle = json.load(fh)
+    assert set(bundle) == {"eigenvalues", "residuals",
+                           "orthogonality_defect", "metadata"}
+    assert set(bundle["metadata"]) == {"lam", "b", "d1", "a", "grid_n",
+                                       "grid_L"}
+    assert bundle["metadata"]["lam"] == 2.0
+    assert bundle["metadata"]["grid_n"] == 50
+    energies = [float(ln.split()[2]) for ln in
+                capsys.readouterr().out.splitlines() if ln.startswith("E")]
+    assert bundle["eigenvalues"] == pytest.approx(energies, rel=1e-11)
+    assert len(bundle["residuals"]) == 3
+    assert bundle["orthogonality_defect"] <= 1e-8
+
+
 def test_splitting_prints_its_count_certificate(capsys):
     rc = cli.main(["splitting", "--lam", "2", "--a", "0.3", "--d1", "0.35",
                    "--grid-n", "50"])

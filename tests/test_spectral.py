@@ -14,9 +14,9 @@ from maglab.spectral import (
     ClusterError,
     Contour,
     EigensolverError,
-    _project_once,
     _rank_probes,
     _shift_invert,
+    _sweep,
     count_below,
     lowest_eigs,
     projector_rank_estimate,
@@ -181,24 +181,59 @@ def test_fused_sweeps_match_separate_projection_and_rank():
     n = op.grid.n
     fs = [Field(op.grid, rng.standard_normal((n, n))
                 + 1j * rng.standard_normal((n, n))) for _ in range(2)]
-    fused, est = riesz_project_with_rank(op, contour, fs, rank=2, probes=6,
-                                         seed=4)
+    fused, est, nodes, _ = riesz_project_with_rank(op, contour, fs, rank=2,
+                                                   probes=6, seed=4)
+    assert nodes == 32
     for got, ref in zip(fused, riesz_project(op, contour, fs)):
         assert np.linalg.norm(got.flat() - ref.flat()) \
             <= 1e-12 * np.linalg.norm(ref.flat())
     ref_est = projector_rank_estimate(op, contour, probes=6, seed=4)
     assert abs(est - ref_est) <= 1e-12 * ref_est
     assert abs(est - 2.0) < 1e-6
-    # Pi G from linearity equals a third sweep over the deflated probes G
+
+    # the Hutch++ estimate from three passes of Pi alone: over Z, over
+    # Q = orth(Pi Z) from a QR, and over the deflated probes G
+    def project(v):
+        return _sweep(op, contour, v, 32)[0]
+
     Z = _rank_probes(op.dimension, 6, 4)
-    Y = _project_once(op, contour, Z, 32)
-    Q, _ = np.linalg.qr(Y)
+    Q, _ = np.linalg.qr(project(Z))
     G = Z - Q @ (Q.conj().T @ Z)
-    three_pass = (np.trace(Q.conj().T @ _project_once(op, contour, Q, 32)).real
-                  + np.mean(np.sum(np.conj(G) * _project_once(op, contour, G,
-                                                             32),
-                                   axis=0).real))
+    three_pass = (np.trace(Q.conj().T @ project(Q)).real
+                  + np.mean(np.sum(np.conj(G) * project(G), axis=0).real))
     assert abs(est - three_pass) <= 1e-12 * three_pass
+
+
+def test_sweep_squares_the_projector_by_the_resolvent_identity():
+    op = pair_op()
+    w, _ = dense_eigs(op)
+    contour = pair_contour(w)
+    rng = np.random.default_rng(6)
+    f = (rng.standard_normal((op.dimension, 2))
+         + 1j * rng.standard_normal((op.dimension, 2)))
+    p1, p2 = _sweep(op, contour, f, 32)
+    explicit = _sweep(op, contour, p1, 32)[0]          # Pi(Pi f), two sweeps
+    assert np.linalg.norm(p2 - explicit) <= 1e-12 * np.linalg.norm(explicit)
+
+
+def test_idempotence_doubling_costs_one_sweep_per_node_count(monkeypatch):
+    op = pair_op()
+    w, _ = dense_eigs(op)
+    contour = pair_contour(w, m=16)         # defect ~ rho^16 > 1e-8 at m = 16
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(1)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
+    _, est, nodes, defect = riesz_project_with_rank(op, contour, f, rank=2,
+                                                    probes=6)
+    assert nodes == 32 and defect <= 1e-8
+    assert len(calls) == 16 // 2 + 16       # m/2 at m = 16, then m/2 at 32
+    assert abs(est - 2.0) < 0.1
 
 
 def test_fused_sweeps_reject_wrong_rank_before_doubling(monkeypatch):
@@ -216,7 +251,7 @@ def test_fused_sweeps_reject_wrong_rank_before_doubling(monkeypatch):
     f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
     with pytest.raises(ClusterError, match="rank estimate 3.0"):
         riesz_project_with_rank(op, contour, f, rank=2, probes=6)
-    assert len(calls) == contour.quadrature_nodes     # two sweeps of m/2
+    assert len(calls) == contour.quadrature_nodes // 2   # one sweep of m/2
 
 
 class _TrackedLU:
@@ -234,7 +269,7 @@ class _TrackedLU:
         return self._lu.solve(*args, **kwargs)
 
 
-def test_quasimodes_factorizes_each_node_once_per_sweep(monkeypatch):
+def test_quasimodes_factorizes_each_node_once(monkeypatch):
     op = pair_op()
     w, _ = dense_eigs(op)
     alive_at_call = []
@@ -247,10 +282,12 @@ def test_quasimodes_factorizes_each_node_once_per_sweep(monkeypatch):
     monkeypatch.setattr(spla, "splu", tracked_splu)
     qm = quasimodes(op.params, op, contour=pair_contour(w, m=32),
                     rank_probes=6, seed=0)
-    # two sweeps over the m/2 = 16 nodes, [probes | pair] then
-    # [Q | Pi pair], with no doubling and one LU alive at a time
-    assert alive_at_call == [0] * 32 and _TrackedLU.alive == 0
+    # one sweep over the m/2 = 16 nodes for [probes | pair], with no
+    # doubling and one LU alive at a time
+    assert alive_at_call == [0] * 16 and _TrackedLU.alive == 0
     assert abs(qm.rank_estimate - 2.0) < 1e-6
+    assert qm.nodes == 32
+    assert 0.0 <= qm.idempotence_defect <= 1e-8
 
 
 def test_count_below_matches_dense_eigvalsh():
