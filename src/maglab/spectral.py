@@ -361,12 +361,13 @@ def _sweep(op: SparseHermitianOp, contour: Contour, vecs: np.ndarray,
            m: int):
     """(Pi_m vecs, Pi_m^2 vecs): one sweep over the m/2 conjugate node pairs.
 
-    Pi_m = sum_j w_j R_j with w_j = (radius/m) xi_j, R_j = (z_j - H)^{-1};
-    Pi_m^2 = sum_j [w_j^2 R_j^2 + 2 w_j c_j R_j], c_j = sum_{k!=j} w_k/(z_k-z_j)
-    (module docstring).  One LU factorization at z also serves the node
-    conj(z) via a transposed solve, since H is Hermitian; each node solves
-    twice on it, for R v and R (R v).  Each LU is dropped before the next
-    node is factorized, so one is alive at a time.
+    Pi_m = sum_j w_j R_j with w_j = (radius/m) xi_j, R_j = (z_j - H)^{-1},
+    and Pi_m^2 = sum_j [w_j^2 R_j^2 + 2 w_j c_j R_j] with
+    c_j = sum_{k != j} w_k / (z_k - z_j) (module docstring).  One LU
+    factorization at z also serves the node conj(z) via a transposed solve,
+    since H is Hermitian; each node solves twice on it, for R v and R (R v).
+    Each LU is dropped before the next node is factorized, so one is alive
+    at a time.
     """
     M = op.matrix
     N = M.shape[0]
@@ -375,7 +376,8 @@ def _sweep(op: SparseHermitianOp, contour: Contour, vecs: np.ndarray,
     # the nodes summed: z_j, then conj(z_j) (index m-1-j of a real-centred
     # circle), j < m/2
     z = np.concatenate([zs[:half], np.conj(zs[:half])])
-    w = (contour.radius / m) * np.concatenate([xis[:half], np.conj(xis[:half])])
+    w = (contour.radius / m) * np.concatenate([xis[:half],
+                                               np.conj(xis[:half])])
     gap = z[None, :] - z[:, None]                       # gap[j, k] = z_k - z_j
     np.fill_diagonal(gap, np.inf)
     c = np.sum(w[None, :] / gap, axis=1)
@@ -388,17 +390,25 @@ def _sweep(op: SparseHermitianOp, contour: Contour, vecs: np.ndarray,
         except RuntimeError as exc:  # singular factorization
             raise ContourSolveError(z[j], str(exc)) from exc
         r1 = lu.solve(vecs)
-        r2 = lu.solve(r1)
-        acc1 += xis[j] * r1
-        acc2 += xis[j] * (w[j] * r2 + 2.0 * c[j] * r1)
+        _add_node(acc1, acc2, xis[j], w[j], c[j], r1, lu.solve(r1))
         # conjugate node: (conj(z) - H)^{-1} f = conj((z - H)^{-T} conj(f))
         r1 = lu.solve(np.conj(vecs), trans="T")
-        r2 = np.conj(lu.solve(r1, trans="T"))
-        r1 = np.conj(r1)
-        acc1 += np.conj(xis[j]) * r1
-        acc2 += np.conj(xis[j]) * (w[half + j] * r2 + 2.0 * c[half + j] * r1)
-        del lu
+        r2 = lu.solve(r1, trans="T")
+        _add_node(acc1, acc2, np.conj(xis[j]), w[half + j], c[half + j],
+                  np.conj(r1, out=r1), np.conj(r2, out=r2))
+        del lu, r1, r2
     return (contour.radius / m) * acc1, (contour.radius / m) * acc2
+
+
+def _add_node(acc1, acc2, xi, w, c, r1, r2):
+    """acc1 += xi r1 and acc2 += xi (w r2 + 2 c r1), for r1 = R v and
+    r2 = R (R v) at one node; r1 and r2 are overwritten."""
+    acc1 += xi * r1
+    r2 *= w
+    r1 *= 2.0 * c
+    r2 += r1
+    r2 *= xi
+    acc2 += r2
 
 
 def _field_columns(f):
