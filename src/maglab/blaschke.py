@@ -158,13 +158,20 @@ def avg_mfun(alpha: float, delta: float) -> float:
 # block averages of -log|F|
 
 
+def _on_nodes(F: Callable, t: np.ndarray) -> np.ndarray:
+    """F evaluated on the node array t in one call; a scalar result (a
+    constant callable) is broadcast to the shape of t."""
+    return np.broadcast_to(np.asarray(F(t), dtype=complex), t.shape)
+
+
 def _gl_panel_sum(F: Callable, lo: float, hi: float, levels: int = 42,
-                  order: int = 8) -> float:
-    """integral_{lo}^{hi} -log|F| dt with geometric panel grading toward both
-    endpoints (where integrable log singularities may sit)."""
+                  order: int = 8) -> Tuple[float, int]:
+    """(integral_{lo}^{hi} -log|F| dt, number of nodes F was evaluated at)
+    with geometric panel grading toward both endpoints (where integrable log
+    singularities may sit).  F is called once, on the nodes of every panel."""
     gx, gw = np.polynomial.legendre.leggauss(order)
     mid = 0.5 * (lo + hi)
-    total = 0.0
+    panels = []
     for (a0, b0) in ((lo, mid), (hi, mid)):     # grade from each endpoint
         sgn = 1.0 if b0 > a0 else -1.0
         length = abs(b0 - a0)
@@ -172,34 +179,46 @@ def _gl_panel_sum(F: Callable, lo: float, hi: float, levels: int = 42,
         edges = [a0] + edges
         for p, q in zip(edges[:-1], edges[1:]):
             lo_p, hi_p = (p, q) if q > p else (q, p)
-            if hi_p <= lo_p:
-                continue
-            t = lo_p + (gx + 1) * (hi_p - lo_p) / 2
-            w = gw * (hi_p - lo_p) / 2
-            vals = np.abs(np.asarray([F(tt) for tt in t], dtype=complex))
-            if np.any(vals == 0):
-                raise DivergenceError("F vanishes at a quadrature node in "
-                                      "[%g, %g]" % (lo_p, hi_p))
-            total += float(np.sum(-np.log(vals) * w))
-    return total
+            if hi_p > lo_p:
+                panels.append((lo_p, hi_p))
+    lo_p, hi_p = (np.array(e)[:, None] for e in zip(*panels))
+    t = lo_p + (gx + 1) * (hi_p - lo_p) / 2
+    w = gw * (hi_p - lo_p) / 2
+    vals = np.abs(_on_nodes(F, t.ravel())).reshape(t.shape)
+    hit = np.flatnonzero(np.any(vals == 0, axis=1))
+    if hit.size:
+        raise DivergenceError("F vanishes at a quadrature node in [%g, %g]"
+                              % panels[hit[0]])
+    # panel sums added one after another, in panel order
+    return float(np.cumsum(np.sum(-np.log(vals) * w, axis=1))[-1]), t.size
+
+
+def _block_average(F: Callable, delta: float,
+                   zeros: Sequence[float] = ()) -> Tuple[float, int]:
+    """(avg_neg_log(F, delta, zeros), number of nodes F was evaluated at)."""
+    if delta <= 0:
+        raise DomainError("delta must be positive")
+    pts = [delta] + sorted(z for z in zeros if delta < z < 2 * delta) \
+        + [2 * delta]
+    total, nodes = 0.0, 0
+    for p, q in zip(pts[:-1], pts[1:]):
+        if q > p:
+            integral, k = _gl_panel_sum(F, p, q)
+            total += integral
+            nodes += k
+    return total / delta, nodes
 
 
 def avg_neg_log(F: Callable, delta: float,
                 zeros: Sequence[float] = ()) -> float:
     """(1/delta) * integral_{delta}^{2 delta} -log|F(t)| dt.
 
-    zeros: known real zeros of F inside the block; the quadrature subdivides
-    there so each log singularity sits at a panel endpoint.
+    F takes an array of points and returns F at each (or one scalar for a
+    constant F).  zeros: known real zeros of F inside the block; the
+    quadrature subdivides there so each log singularity sits at a panel
+    endpoint.
     """
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    pts = [delta] + sorted(z for z in zeros if delta < z < 2 * delta) \
-        + [2 * delta]
-    total = 0.0
-    for p, q in zip(pts[:-1], pts[1:]):
-        if q > p:
-            total += _gl_panel_sum(F, p, q)
-    return total / delta
+    return _block_average(F, delta, zeros)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +256,17 @@ class HerglotzMeasure:
         return total / delta
 
 
-def herglotz_eval(m: HerglotzMeasure, w) -> float:
-    """u(w) = A Re w + sum_i m_i Re w / ((Im w - psi_i)^2 + (Re w)^2)."""
-    w = complex(w)
+def herglotz_eval(m: HerglotzMeasure, w):
+    """u(w) = A Re w + sum_i m_i Re w / ((Im w - psi_i)^2 + (Re w)^2), at a
+    point or elementwise on an array of points."""
+    w = np.asarray(w, dtype=complex)
     x, y = w.real, w.imag
-    if x <= 0:
+    if np.any(x <= 0):
         raise DomainError("herglotz_eval requires Re w > 0")
     u = m.linear_coefficient * x
     for psi, mass in m.atoms:
-        u += mass * x / ((y - psi) ** 2 + x ** 2)
-    return float(u)
+        u = u + mass * x / ((y - psi) ** 2 + x ** 2)
+    return float(u) if u.ndim == 0 else u
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +275,14 @@ def herglotz_eval(m: HerglotzMeasure, w) -> float:
 
 def wedge_pullback(F: Callable, alpha: float) -> Callable:
     """F-tilde(z) = F(z^{-alpha}) on the half-plane (principal branch);
-    maps t in [delta, 2 delta] to s in [(2 delta)^{-alpha}, delta^{-alpha}]."""
+    maps t in [delta, 2 delta] to s in [(2 delta)^{-alpha}, delta^{-alpha}].
+    The pullback takes a point or an array of points, as F must."""
     if not (0 < alpha <= 1):
         raise DomainError("alpha must lie in (0, 1]")
 
     def pulled(z):
-        z = complex(z)
-        if z.real <= 0:
+        z = np.asarray(z, dtype=complex)
+        if np.any(z.real <= 0):
             raise DomainError("pullback argument must have Re z > 0")
         return F(np.exp(-alpha * np.log(z)))
 
@@ -286,6 +307,7 @@ class LowerBoundCertificate:
     mu0_estimate: float
     beta: float
     hypotheses: dict
+    quadrature_nodes: int             # F evaluations behind measured_avg
 
     def to_json(self, path=None):
         payload = {
@@ -297,6 +319,7 @@ class LowerBoundCertificate:
             "mu0_estimate": self.mu0_estimate,
             "beta": self.beta,
             "hypotheses": self.hypotheses,
+            "quadrature_nodes": self.quadrature_nodes,
         }
         if path is None:
             return json.dumps(payload, indent=1)
@@ -316,7 +339,8 @@ def wedge_bound(beta_eff: float, R: float, alpha: float) -> float:
 
 def synthetic_f(zero_set: BlaschkeZeroSet,
                 measure: Optional[HerglotzMeasure] = None) -> Callable:
-    """|F(t)| = |B(t)| e^{-A t - u(t)} for the certificate's model data."""
+    """|F(t)| = |B(t)| e^{-A t - u(t)} for the certificate's model data, at a
+    point or on an array of points."""
     def F(t):
         val = product(zero_set, t)
         if measure is not None:
@@ -326,17 +350,15 @@ def synthetic_f(zero_set: BlaschkeZeroSet,
 
 
 def estimate_mu0(F: Callable, delta: float, samples: int = 33) -> float:
-    """Median of t * (-log|F(t)|) over the block [delta, 2 delta]."""
+    """Median of t * (-log|F(t)|) over the block [delta, 2 delta], F
+    evaluated on all the samples in one call; samples where F vanishes are
+    left out."""
     ts = np.linspace(delta, 2 * delta, samples + 2)[1:-1]
-    vals = []
-    for t in ts:
-        m = abs(F(t))
-        if m == 0:
-            continue
-        vals.append(t * (-math.log(m)))
-    if not vals:
+    m = np.abs(_on_nodes(F, ts))
+    keep = m != 0
+    if not keep.any():
         raise DivergenceError("F vanished at every sample point")
-    return float(max(np.median(vals), 0.0))
+    return float(max(np.median(ts[keep] * -np.log(m[keep])), 0.0))
 
 
 def certify_lower_bound(zero_set: Optional[BlaschkeZeroSet] = None,
@@ -358,6 +380,9 @@ def certify_lower_bound(zero_set: Optional[BlaschkeZeroSet] = None,
     dominated by a nowhere-zero envelope U; the bound is
     80 alpha 2^{1/alpha} (beta + log|U(1)|) R^{1/alpha} plus the envelope's
     own block average.
+
+    Every callable is evaluated on arrays of points; a scalar result (a
+    constant callable) is broadcast.
     """
     if delta is not None:
         if zero_set is None:
@@ -381,8 +406,8 @@ def certify_lower_bound(zero_set: Optional[BlaschkeZeroSet] = None,
 
         Fm = synthetic_f(zero_set, measure)
         zs_real = zero_set.real_zeros_in(delta, 2 * delta)
-        measured = avg_neg_log(lambda t: product(zero_set, t), delta,
-                               zeros=zs_real)
+        measured, nodes = _block_average(lambda t: product(zero_set, t),
+                                         delta, zeros=zs_real)
         if measure is not None:
             measured += measure.avg_on_block(delta)
         bound = half_plane_bound(beta_used, delta)
@@ -393,7 +418,8 @@ def certify_lower_bound(zero_set: Optional[BlaschkeZeroSet] = None,
             beta=beta_used,
             hypotheses={"neg_log_F_at_1": total1,
                         "budget_small": zero_set.budget_small(),
-                        "budget_big": zero_set.budget_big()})
+                        "budget_big": zero_set.budget_big()},
+            quadrature_nodes=nodes)
 
     if R is None or alpha is None:
         raise ValueError("pass delta (half-plane) or both R and alpha (wedge)")
@@ -417,22 +443,29 @@ def certify_lower_bound(zero_set: Optional[BlaschkeZeroSet] = None,
         raise CertificateError("hypothesis violated: -log|F(1)| = %.6g > "
                                "beta = %.6g" % (-math.log(f1), beta))
     ts = np.linspace(min(1.0, R), 2 * R, domination_samples)
-    for t in ts:
-        if abs(F(t)) > abs(U(t)) * (1 + 1e-10):
-            raise CertificateError("hypothesis violated: |F(%g)| = %.6g > "
-                                   "|U(%g)| = %.6g" % (t, abs(F(t)), t,
-                                                       abs(U(t))))
-    measured = avg_neg_log(F, R)
+    f, u = np.abs(_on_nodes(F, ts)), np.abs(_on_nodes(U, ts))
+    over = np.flatnonzero(f > u * (1 + 1e-10))
+    if over.size:
+        i = over[0]
+        raise CertificateError("hypothesis violated: |F(%g)| = %.6g > "
+                               "|U(%g)| = %.6g" % (ts[i], f[i], ts[i], u[i]))
+    measured, nodes = _block_average(F, R)
     env_avg = avg_neg_log(U, R)
     bound = wedge_bound(beta + math.log(u1), R, alpha) + env_avg
     # mu0 trend: -log|F(t)| + log|U(t)| ~ mu0 * t^{1/alpha}
     tsamp = np.linspace(R, 2 * R, 33)
-    vals = [(-math.log(abs(F(t))) + math.log(abs(U(t)))) / t ** (1.0 / alpha)
-            for t in tsamp if abs(F(t)) > 0]
-    mu0 = float(max(np.median(vals), 0.0)) if vals else 0.0
+    f, u = np.abs(_on_nodes(F, tsamp)), np.abs(_on_nodes(U, tsamp))
+    keep = f > 0
+    zero_u = np.flatnonzero(keep & (u == 0))
+    if zero_u.size:
+        raise CertificateError("hypothesis violated: envelope U(%g) = 0"
+                               % tsamp[zero_u[0]])
+    vals = (-np.log(f[keep]) + np.log(u[keep])) / tsamp[keep] ** (1.0 / alpha)
+    mu0 = float(max(np.median(vals), 0.0)) if vals.size else 0.0
     return LowerBoundCertificate(
         mode="wedge", delta_or_R=R, measured_avg=measured,
         theorem_bound=bound, margin=bound - measured, mu0_estimate=mu0,
         beta=float(beta),
         hypotheses={"alpha": alpha, "envelope_at_1": u1,
-                    "neg_log_F_at_1": -math.log(max(f1, 1e-300))})
+                    "neg_log_F_at_1": -math.log(max(f1, 1e-300))},
+        quadrature_nodes=nodes)

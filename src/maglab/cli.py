@@ -26,6 +26,8 @@ import os
 import pathlib
 import sys
 import tempfile
+import time
+import traceback
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -518,7 +520,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         if "error" in res:
             failures += 1
             manifest["points"][key] = {"status": "failed", "point": point,
-                                       "error": res["error"]}
+                                       **res}
             print("FAILED %s: %s" % (_point_label(point), res["error"]),
                   file=sys.stderr)
         else:
@@ -540,10 +542,15 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def _try_worker(job):
+    """The point's row, or its numerical failure (the exceptions `main`
+    reports) with traceback and CPU seconds; programming errors propagate."""
+    start = time.process_time()
     try:
         return _sweep_worker(job)
-    except Exception as exc:
-        return {"error": "%s: %s" % (type(exc).__name__, exc)}
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        return {"error": "%s: %s" % (type(exc).__name__, exc),
+                "traceback": traceback.format_exc(),
+                "cpu_s": time.process_time() - start}
 
 
 def _point_label(point: dict) -> str:

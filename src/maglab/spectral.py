@@ -331,11 +331,16 @@ def unfold_parity(u: np.ndarray, sign: int) -> np.ndarray:
 
 @dataclass
 class Contour:
-    """Circle z(theta) = center + radius * exp(i theta), trapezoid nodes."""
+    """Circle z(theta) = center + radius * exp(i theta), trapezoid nodes.
+    The centre must be real: `_sweep` pairs each node with its conjugate."""
 
     center: complex
     radius: float
     quadrature_nodes: int = 32
+
+    def __post_init__(self):
+        if complex(self.center).imag != 0:
+            raise ValueError("contour centre %s is not real" % self.center)
 
     def nodes(self, m: int = None):
         m = m or self.quadrature_nodes

@@ -262,3 +262,140 @@ def test_wedge_certificate_and_pullback():
     with pytest.raises(CertificateError, match="U"):
         certify_lower_bound(F=lambda t: 10.0, R=3.0, alpha=alpha,
                             beta=5.0, envelope=lambda t: 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature on node arrays
+
+
+def _per_node_panel_sum(F, lo, hi, levels=42, order=8):
+    """Reference: the panel quadrature calling F once per node."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (lo + hi)
+    total = 0.0
+    for (a0, b0) in ((lo, mid), (hi, mid)):
+        sgn = 1.0 if b0 > a0 else -1.0
+        length = abs(b0 - a0)
+        edges = [a0] + [a0 + sgn * length * 2.0 ** (-k)
+                        for k in range(levels, -1, -1)]
+        for p, q in zip(edges[:-1], edges[1:]):
+            lo_p, hi_p = (p, q) if q > p else (q, p)
+            if hi_p <= lo_p:
+                continue
+            t = lo_p + (gx + 1) * (hi_p - lo_p) / 2
+            w = gw * (hi_p - lo_p) / 2
+            vals = np.abs(np.asarray([F(tt) for tt in t], dtype=complex))
+            total += float(np.sum(-np.log(vals) * w))
+    return total
+
+
+def _per_node_avg(F, delta, zeros):
+    pts = [delta] + sorted(z for z in zeros if delta < z < 2 * delta) \
+        + [2 * delta]
+    return sum(_per_node_panel_sum(F, p, q)
+               for p, q in zip(pts[:-1], pts[1:])) / delta
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_array_quadrature_matches_per_node_loop(seed):
+    rng = np.random.default_rng(seed)
+    delta = rng.uniform(0.02, 0.24)
+    zeros = [complex(rng.uniform(0.05, 2.0), rng.uniform(-2.0, 2.0))
+             for _ in range(rng.integers(1, 6))]
+    # one real zero inside the block, a log singularity at a panel end
+    zeros.append(complex(rng.uniform(1.1, 1.9) * delta))
+    zs = BlaschkeZeroSet.from_zeros(zeros)
+
+    def F(t):
+        return product(zs, t)
+
+    inside = zs.real_zeros_in(delta, 2 * delta)
+    assert len(inside) == 1
+    ref = _per_node_avg(F, delta, inside)
+    got = avg_neg_log(F, delta, zeros=inside)
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+    ref_plain = _per_node_avg(F, delta, ())
+    assert abs(avg_neg_log(F, delta) - ref_plain) <= 1e-14 * abs(ref_plain)
+
+
+def test_panel_sum_calls_F_once_on_every_node():
+    zs = BlaschkeZeroSet.from_zeros([0.3 + 0.4j, 1.2 - 0.7j])
+    shapes = []
+
+    def F(t):
+        shapes.append(np.shape(t))
+        return product(zs, t)
+
+    integral, nodes = blaschke._gl_panel_sum(F, 0.1, 0.2)
+    assert shapes == [(688,)] and nodes == 688      # 2 x 43 panels x 8
+    assert integral == pytest.approx(_per_node_panel_sum(F, 0.1, 0.2),
+                                     rel=1e-14)
+
+
+def test_panel_sum_names_the_first_panel_where_F_vanishes():
+    # on [1, 2] the panels next to the midpoint are [1.25, 1.5], graded from
+    # 1, and [1.5, 1.75], graded from 2; F vanishes inside both
+    def F(t):
+        return np.where((t > 1.25) & (t < 1.75), 0.0, 1.0) + 0j
+
+    with pytest.raises(blaschke.DivergenceError,
+                       match=r"node in \[1\.25, 1\.5\]"):
+        blaschke._gl_panel_sum(F, 1.0, 2.0)
+    with pytest.raises(blaschke.DivergenceError):
+        avg_neg_log(lambda t: np.zeros_like(t), 0.1)
+
+
+def test_wedge_certificate_with_constant_and_vanishing_envelopes():
+    zs = BlaschkeZeroSet.from_zeros([0.8 + 0.5j])
+    F = synthetic_f(zs)
+    alpha, R = 0.5, 3.0
+    plain = certify_lower_bound(F=F, R=R, alpha=alpha, beta=zs.beta)
+    cert = certify_lower_bound(F=F, R=R, alpha=alpha, beta=zs.beta,
+                               envelope=lambda t: 2.0)
+    assert cert.measured_avg == plain.measured_avg
+    assert cert.quadrature_nodes == plain.quadrature_nodes == 688
+    # -log|U| = -log 2 on the whole block
+    assert cert.theorem_bound == pytest.approx(
+        blaschke.wedge_bound(zs.beta + math.log(2.0), R, alpha)
+        - math.log(2.0), rel=1e-14)
+    assert cert.mu0_estimate >= plain.mu0_estimate
+    # an envelope vanishing at one mu0-trend sample (t = 3.09375) breaks the
+    # nowhere-zero hypothesis there
+    with pytest.raises(CertificateError, match=r"envelope U\(3\.09375\) = 0"):
+        certify_lower_bound(F=F, R=R, alpha=alpha, beta=zs.beta,
+                            envelope=lambda t: np.where(t == 3.09375, 0, 1.0))
+
+
+def test_certificate_counts_its_quadrature_nodes():
+    delta = 0.1
+    zs = BlaschkeZeroSet.from_zeros([0.4 + 0.3j, 0.15])   # 0.15 in the block
+    cert = certify_lower_bound(zero_set=zs, delta=delta)
+    assert cert.quadrature_nodes == 2 * 688
+    assert '"quadrature_nodes": 1376' in cert.to_json()
+    far = certify_lower_bound(zero_set=BlaschkeZeroSet.from_zeros(
+        [0.4 + 0.3j]), delta=delta)
+    assert far.quadrature_nodes == 688
+
+
+def test_library_callables_take_arrays():
+    m = HerglotzMeasure(atoms=[(0.3, 0.5), (-1.2, 0.8), (0.0, 0.2)],
+                        linear_coefficient=0.4)
+    w = np.array([0.05, 0.3 + 0.2j, 1.0, 2.5 - 1.0j])
+    assert isinstance(herglotz_eval(m, 0.3), float)
+    assert np.array_equal(herglotz_eval(m, w),
+                          [herglotz_eval(m, x) for x in w])
+    with pytest.raises(DomainError):
+        herglotz_eval(m, np.array([0.5, -0.1]))
+
+    for F in (lambda s: s, lambda s: herglotz_eval(m, s)):
+        pulled = wedge_pullback(F, 0.5)
+        assert np.array_equal(pulled(w), [pulled(x) for x in w])
+        assert np.ndim(pulled(4.0)) == 0
+    with pytest.raises(DomainError):
+        pulled(np.array([1.0, -2.0]))
+
+    # numpy divides complex arrays and complex scalars by different
+    # formulas, so the Blaschke factors agree to rounding only
+    F = synthetic_f(BlaschkeZeroSet.from_zeros([0.8 + 0.5j, 0.3 - 0.2j]), m)
+    t = np.linspace(0.1, 0.2, 7)
+    assert np.allclose(F(t), [F(x) for x in t], rtol=1e-15, atol=0)

@@ -18,6 +18,7 @@ from maglab.cli import (
     load_config,
 )
 from maglab.grid_model import ModelParams, choose_grid
+from maglab.spectral import EigensolverError
 from maglab.tunneling import lattice_grid, ratio_point
 
 SWEEP_INI = """\
@@ -274,3 +275,31 @@ def test_programming_errors_keep_their_traceback(monkeypatch):
     monkeypatch.setattr(cli, "cmd_splitting", broken)
     with pytest.raises(TypeError, match="unsupported operand"):
         cli.main(["splitting"])
+
+
+def test_sweep_records_a_failed_point(tmp_path, capsys, monkeypatch):
+    def fails(job):
+        raise EigensolverError("no convergence at the test point")
+    monkeypatch.setattr(cli, "_sweep_worker", fails)
+    out = tmp_path / "results"
+    config = write(tmp_path / "sweep.ini", SWEEP_INI.format(out=out))
+    assert cli.main(["sweep", "--config", config]) == EXIT_NUMERICAL
+    assert "FAILED" in capsys.readouterr().err
+    (entry,) = json.loads((out / "manifest.json").read_text())[
+        "points"].values()
+    assert entry["status"] == "failed"
+    assert entry["error"] == ("EigensolverError: no convergence at the "
+                              "test point")
+    assert "in fails" in entry["traceback"]
+    assert entry["traceback"].rstrip().endswith(entry["error"])
+    assert isinstance(entry["cpu_s"], float) and entry["cpu_s"] >= 0
+
+
+def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
+    def broken(job):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr(cli, "_sweep_worker", broken)
+    config = write(tmp_path / "sweep.ini",
+                   SWEEP_INI.format(out=tmp_path / "results"))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        cli.main(["sweep", "--config", config])

@@ -319,3 +319,17 @@ def test_count_below_rejects_off_diagonal_pivots(monkeypatch):
         count_below(op.matrix, 0.0)
     with pytest.raises(EigensolverError, match="perm_r != perm_c"):
         lowest_eigs(make_op(n=56), k=1)
+
+
+def test_contour_rejects_a_centre_off_the_real_axis():
+    # the sweep pairs each node with its conjugate, which is a node of the
+    # circle only when the centre is real; the pair circle moved up by
+    # 0.2i * radius still encloses the same two levels, and is refused
+    # before any node is factorized
+    w, _ = dense_eigs(pair_op())
+    c = pair_contour(w)
+    with pytest.raises(ValueError, match="not real"):
+        Contour(center=c.center + 0.2j * c.radius, radius=c.radius,
+                quadrature_nodes=32)
+    assert Contour(center=np.float64(c.center.real), radius=1.0).center \
+        == c.center.real
