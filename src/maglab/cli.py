@@ -183,10 +183,10 @@ def _grid_n(cfg: RunConfig, args) -> int:
     return _checked_grid_n(args.grid_n)
 
 
-def _ensure_out(args) -> str:
-    out = args.out or "results"
-    os.makedirs(out, exist_ok=True)
-    return out
+def _results_dir(cfg: RunConfig, args) -> str:
+    """Where a command reads and writes its results: --out, else the
+    config's [output] dir."""
+    return args.out or cfg.output["dir"]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -235,7 +235,9 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     for j, ev in enumerate(res.eigenvalues):
         print("E%d = %.12e   (residual %.2e)" % (j, ev, res.residuals[j]))
     params, grid = op.params, op.grid
-    path = os.path.join(_ensure_out(args), "spectrum.json")
+    out = _results_dir(cfg, args)
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "spectrum.json")
     bundle = {"eigenvalues": res.eigenvalues, "residuals": res.residuals,
               "orthogonality_defect": float(res.orthogonality_defect),
               "metadata": {"lam": float(np.real(params.lam)), "b": params.b,
@@ -467,8 +469,7 @@ def _sweep_worker(job):
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    out = args.out or cfg.output["dir"]
-    os.makedirs(out, exist_ok=True)
+    out = _results_dir(cfg, args)
     os.makedirs(os.path.join(out, "points"), exist_ok=True)
     n = _grid_n(cfg, args)
     seed = args.seed
@@ -644,7 +645,7 @@ def _svg_line_plot(path: str, series, title: str, xlabel: str, ylabel: str,
 
 
 def cmd_plot(cfg: RunConfig, args) -> int:
-    results = args.out or cfg.output["dir"]
+    results = _results_dir(cfg, args)
     ratio_csv = os.path.join(results, "ratio.csv")
     if not os.path.isfile(ratio_csv):
         print("warning: no plottable results found in %s" % results,

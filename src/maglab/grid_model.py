@@ -236,15 +236,18 @@ class SparseHermitianOp:
         return int(np.max(np.diff(self.matrix.indptr)))
 
 
+FLUX_PER_PLAQUETTE_BOUND = 0.5
+
+
 def build_operator(params: ModelParams, grid: Grid2D,
                    wells: Sequence[tuple] = (),
-                   gauge_origin=(0.0, 0.0),
-                   flux_per_plaquette_bound: float = 0.5) -> SparseHermitianOp:
+                   gauge_origin=(0.0, 0.0)) -> SparseHermitianOp:
     """Assemble the lattice Hamiltonian.
 
     wells: list of (WellSpec, center) pairs; length 0 (Landau), 1, or 2.
     Dirichlet walls at +-L.  Link phase on the bond x -> x + h e_j is
     exp(i h A_j(midpoint)) with A = (b lam / 2) (x - gauge_origin)_perp.
+    h * lam must not exceed FLUX_PER_PLAQUETTE_BOUND.
     """
     if np.imag(params.lam) != 0:
         raise ValueError("lattice builder requires real lam")
@@ -252,9 +255,10 @@ def build_operator(params: ModelParams, grid: Grid2D,
     if len(wells) > 2:
         raise ValueError("at most two wells")
     h = grid.spacing
-    if h * lam > flux_per_plaquette_bound + 1e-12:
-        raise ValueError("h*lam = %.3g exceeds the flux-per-plaquette bound %.3g; "
-                         "refine the grid" % (h * lam, flux_per_plaquette_bound))
+    if h * lam > FLUX_PER_PLAQUETTE_BOUND + 1e-12:
+        raise ValueError("h*lam = %.3g exceeds the flux-per-plaquette bound "
+                         "%.3g; refine the grid"
+                         % (h * lam, FLUX_PER_PLAQUETTE_BOUND))
     if len(wells) == 2:
         if not params.separation_ok():
             raise ValueError("well separation 2*d1 = %g does not exceed C*a = %g"

@@ -1,12 +1,12 @@
 """Low eigenpairs of the lattice Hamiltonians and the Riesz spectral projector.
 
-The eigensolver is ARPACK (Lanczos) in shift-invert mode with a sparse LU; for
-tiny grids (n <= 48 per axis) `lowest_eigs` uses a dense eigendecomposition
-instead.  Operators that commute with the grid reflection x -> -x split into
-half-size even and odd blocks (`parity_defect`, `parity_blocks`,
-`unfold_parity`).  The Riesz projector is the trapezoid quadrature of
-(1/2pi i) * contour integral of the resolvent, with one complex sparse LU per
-contour node (each factorization serves a conjugate pair of nodes).
+The eigensolver is ARPACK (Lanczos) in shift-invert mode with a sparse LU, on
+every grid: `_lowest_near` is the one path to it.  Operators that commute
+with the grid reflection x -> -x split into half-size even and odd blocks
+(`parity_defect`, `parity_blocks`, `unfold_parity`).  The Riesz projector is
+the trapezoid quadrature of (1/2pi i) * contour integral of the resolvent,
+with one complex sparse LU per contour node (each factorization serves a
+conjugate pair of nodes).
 
 Every sparse LU is SuperLU with the minimum-degree ordering of A^T + A.  The
 lattice operators are structurally symmetric 5-point matrices, where that
@@ -20,12 +20,12 @@ take less time and memory at the same residual.  There are two LU modes:
   Hermitian M - sigma I of a real shift.  That LU is an LDL* factorization:
   by Sylvester's law of inertia the number of negative pivots is the number
   of eigenvalues of M below sigma (`count_below`; spectrum slicing, Parlett,
-  The Symmetric Eigenvalue Problem, ch. 3).  Shift-invert counts on the LU
-  it hands to ARPACK as `OPinv` (ARPACK's own LU uses COLAMD), so a shift
-  inside the spectrum is rejected before the solve, and `_lowest_near`
-  lowers a start estimate until its count is 0.  At or below the Gershgorin
-  bound the count is skipped: the bound already proves it, and reading U's
-  diagonal copies all of U.
+  The Symmetric Eigenvalue Problem, ch. 3).  `_lowest_near` counts on the LU
+  it hands to ARPACK as `OPinv` (ARPACK's own LU uses COLAMD), and lowers a
+  start inside the spectrum until its count is 0, so the values nearest the
+  shift are the lowest.  At or below the Gershgorin bound the count is
+  skipped: the bound already proves it, and reading U's diagonal copies all
+  of U.
 
 A projection is one sweep over the m/2 conjugate node pairs, factorizing
 each node and dropping its LU before the next, so one contour LU is alive at
@@ -57,13 +57,10 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid_model import Field, SparseHermitianOp, field_from_flat
-
-DENSE_FALLBACK_N = 48
 
 
 class EigensolverError(RuntimeError):
@@ -80,9 +77,9 @@ class SpectralResult:
     eigenvectors: List[Field]
     residuals: List[float]
     orthogonality_defect: float
-    # the shift of each shift-invert pass behind the values (none for the
-    # dense path); no eigenvalue lies below any of them, by the count on
-    # its LU or by the Gershgorin bound at or above it
+    # the shift of each shift-invert pass behind the values; no eigenvalue
+    # lies below any of them, by the count on its LU or by the Gershgorin
+    # bound at or above it
     shifts: List[float] = field(default_factory=list)
 
 
@@ -92,12 +89,6 @@ def _gershgorin_bound(M) -> float:
     diag = M.diagonal()
     radius = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(diag)
     return float(np.min(diag.real - radius))
-
-
-def _gershgorin_shift(op: SparseHermitianOp) -> float:
-    """A verified lower bound of the spectrum, `_gershgorin_bound`; the extra
-    1 keeps the shift strictly below."""
-    return _gershgorin_bound(op.matrix) - 1.0
 
 
 def _factor(A):
@@ -147,7 +138,7 @@ def _factor_below(M, sigma: float, bound: float):
     return lu, (0 if sigma <= bound else _negative_pivots(lu))
 
 
-def _arpack(M, k: int, sigma: float, lu, seed: int, maxiter: int = None):
+def _arpack(M, k: int, sigma: float, lu, seed: int):
     """(vals, vecs): the k eigenpairs of M nearest sigma, ascending, by
     ARPACK in shift-invert mode on the given LU of M - sigma I."""
     rng = np.random.default_rng(seed)
@@ -156,7 +147,7 @@ def _arpack(M, k: int, sigma: float, lu, seed: int, maxiter: int = None):
     OPinv = spla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype)
     try:
         vals, vecs = spla.eigsh(M, k=k, sigma=sigma, which="LM", v0=v0,
-                                maxiter=maxiter, OPinv=OPinv)
+                                OPinv=OPinv)
     except spla.ArpackNoConvergence as err:
         got = getattr(err, "eigenvalues", None)
         raise EigensolverError(
@@ -165,25 +156,6 @@ def _arpack(M, k: int, sigma: float, lu, seed: int, maxiter: int = None):
             residuals=None) from err
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
-
-
-def _shift_invert(M, k: int, sigma: float, seed: int,
-                  maxiter: int = None):
-    """(vals, vecs): the k lowest eigenpairs of the Hermitian M, ascending,
-    by ARPACK in shift-invert mode at sigma, which must lie below the
-    spectrum.
-
-    One LU of M - sigma I (`_factor_hermitian`) serves the count and the
-    solve.  Raises EigensolverError before the solve when the count puts an
-    eigenvalue below sigma, and when ARPACK does not converge.
-    """
-    lu, below = _factor_below(M, sigma, _gershgorin_bound(M))
-    if below:
-        raise EigensolverError(
-            "shift %.17g lies inside the spectrum: %d eigenvalue(s) below "
-            "it, so the values nearest it need not be the lowest"
-            % (sigma, below))
-    return _arpack(M, k, sigma, lu, seed, maxiter)
 
 
 def _lowest_near(M, k: int, start: float, seed: int):
@@ -232,7 +204,7 @@ def _verified_result(op: SparseHermitianOp, vals, vecs,
     off = np.abs(G - np.diag(np.diag(G)))
     defect = float(np.max(off)) if k > 1 else 0.0
     if defect > 1e-8:
-        w, U = la.eigh(G)
+        w, U = np.linalg.eigh(G)
         coeff = U @ np.diag(1.0 / np.sqrt(w)) @ U.conj().T
         vecsn = np.stack([f.flat() for f in fields], axis=1) @ coeff
         fields = [field_from_flat(op.grid, vecsn[:, j]) for j in range(k)]
@@ -254,35 +226,27 @@ def _verified_result(op: SparseHermitianOp, vals, vecs,
 
 
 def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
-                maxiter: int = None, sigma: float = None) -> SpectralResult:
-    """k smallest eigenvalues with residual-verified eigenvectors.
+                start: float = None) -> SpectralResult:
+    """k smallest eigenvalues with residual-verified eigenvectors, by one
+    shift-invert pass (`_lowest_near`).
 
-    Deterministic for a given seed (the seed fixes the Lanczos starting vector).
-    sigma overrides the shift-invert target; it must lie strictly below the
-    lowest eigenvalue.  A shift close to the low cluster greatly reduces the
-    absolute eigenvalue error (~eps * |E - sigma|), which matters when the
-    quantity of interest is a tiny eigenvalue difference.
-
-    Shift-invert returns the k eigenvalues nearest sigma, which are the k
-    lowest when no eigenvalue lies below sigma.  That is proven before the
-    solve, by the inertia count on the LU that serves it (`count_below`):
-    an EigensolverError is raised when the count is not 0.  The default
-    shift, one below the Gershgorin bound of the matrix, needs no count.
+    Deterministic for a given seed (the seed fixes the Lanczos starting
+    vector).  The shift search begins at start, by default one below the
+    Gershgorin bound of the matrix, which needs no count.  A start inside
+    the spectrum is lowered until the inertia count on the LU that serves
+    the solve (`count_below`) puts no eigenvalue below it, so the k values
+    nearest the shift are the k lowest.  A shift close to the low cluster
+    greatly reduces the absolute eigenvalue error (~eps * |E - sigma|),
+    which matters when the quantity of interest is a tiny eigenvalue
+    difference.
     """
     M = op.matrix
-    N = M.shape[0]
-    if k >= N:
+    if k >= M.shape[0]:
         raise ValueError("k must be much smaller than the dimension")
-
-    if op.grid.n <= DENSE_FALLBACK_N:
-        w, V = la.eigh(M.toarray())
-        vals, vecs = w[:k], V[:, :k]
-    else:
-        if sigma is None:
-            sigma = _gershgorin_shift(op)
-        vals, vecs = _shift_invert(M, k, sigma, seed, maxiter=maxiter)
-        return _verified_result(op, vals, vecs, shifts=[sigma])
-    return _verified_result(op, vals, vecs)
+    if start is None:
+        start = _gershgorin_bound(M) - 1.0
+    vals, vecs, sigma = _lowest_near(M, k, start, seed)
+    return _verified_result(op, vals, vecs, shifts=[sigma])
 
 
 # ---------------------------------------------------------------------------
@@ -428,41 +392,46 @@ def _as_fields(grid, vecs: np.ndarray, single: bool):
     return out[0] if single else out
 
 
+# the projection is accepted at the first node count m whose idempotence
+# defect ||Pi_m^2 f - Pi_m f|| / ||f|| is at most IDEMPOTENCE_TOL, after at
+# most MAX_DOUBLINGS doublings of m
+IDEMPOTENCE_TOL = 1e-8
+MAX_DOUBLINGS = 4
+
+
 def _until_idempotent(op: SparseHermitianOp, contour: Contour,
                       vecs: np.ndarray, p1: np.ndarray, p2: np.ndarray,
-                      m: int, idempotence_tol: float = 1e-8,
-                      max_doublings: int = 4):
+                      m: int):
     """(Pi_m vecs, m, defect) at the first m whose idempotence defect
-    ||Pi_m^2 f - Pi_m f|| / ||f|| <= tol holds for every column f; defect
-    is its maximum over the columns.
+    ||Pi_m^2 f - Pi_m f|| / ||f|| <= IDEMPOTENCE_TOL holds for every column
+    f; defect is its maximum over the columns.
 
     (p1, p2) = (Pi_m vecs, Pi_m^2 vecs) at the starting m; each doubling of
     m is one more sweep over the fields.
     """
     norms = np.linalg.norm(vecs, axis=0)
-    for doubling in range(max_doublings + 1):
+    for doubling in range(MAX_DOUBLINGS + 1):
         if doubling:
             m *= 2
             p1, p2 = _sweep(op, contour, vecs, m)
         defect = float(np.max(np.linalg.norm(p2 - p1, axis=0) / norms))
-        if defect <= idempotence_tol:
+        if defect <= IDEMPOTENCE_TOL:
             return p1, m, defect
     raise RuntimeError("projector idempotence defect %.3g > %.3g even at "
-                       "m=%d nodes" % (defect, idempotence_tol, m))
+                       "m=%d nodes" % (defect, IDEMPOTENCE_TOL, m))
 
 
-def riesz_project(op: SparseHermitianOp, contour: Contour, f,
-                  idempotence_tol: float = 1e-8, max_doublings: int = 4):
+def riesz_project(op: SparseHermitianOp, contour: Contour, f):
     """Riesz spectral projector applied to one Field or a list of Fields.
 
     The node count starts at contour.quadrature_nodes and is doubled until the
-    projector idempotence defect ||Pi(Pi f) - Pi f|| <= tol * ||f||.
+    projector idempotence defect ||Pi(Pi f) - Pi f|| <= IDEMPOTENCE_TOL *
+    ||f||.
     """
     single, vecs = _field_columns(f)
     m = contour.quadrature_nodes
     p1, p2 = _sweep(op, contour, vecs, m)
-    p1, _, _ = _until_idempotent(op, contour, vecs, p1, p2, m,
-                                 idempotence_tol, max_doublings)
+    p1, _, _ = _until_idempotent(op, contour, vecs, p1, p2, m)
     return _as_fields(op.grid, p1, single)
 
 
@@ -518,29 +487,32 @@ class ClusterError(RuntimeError):
     """The contour does not enclose a spectral cluster of the expected rank."""
 
 
+# the largest |rank estimate - rank| that `riesz_project_with_rank` accepts
+RANK_TOL = 0.1
+
+
 def riesz_project_with_rank(op: SparseHermitianOp, contour: Contour, f,
-                            rank: int, rank_tol: float = 0.1,
-                            probes: int = 8, seed: int = 0):
+                            rank: int, probes: int = 8, seed: int = 0):
     """(projected fields, rank estimate, nodes, idempotence defect):
     `riesz_project` of f and `projector_rank_estimate` in one sweep over the
     nodes, which projects [Z | f] and gives Pi^2 of both.
 
     nodes is the m used after any doubling and the defect the largest
     ||Pi_m^2 f - Pi_m f|| / ||f|| over the fields at that m.  A ClusterError
-    is raised when the estimate is farther than rank_tol from rank, before
+    is raised when the estimate is farther than RANK_TOL from rank, before
     any doubling; a failed idempotence check then doubles m for the fields
-    alone, as in `riesz_project` with its default tolerance.  rank is the
-    number of levels the caller means the contour to enclose (2 for the
-    double-well pair in `tunneling.quasimodes`); the check is made here
-    rather than by the caller so that a wrong contour fails before the
-    doubling spends more sweeps on it.
+    alone, as in `riesz_project`.  rank is the number of levels the caller
+    means the contour to enclose (2 for the double-well pair in
+    `tunneling.quasimodes`); the check is made here rather than by the
+    caller so that a wrong contour fails before the doubling spends more
+    sweeps on it.
     """
     single, vecs = _field_columns(f)
     m = contour.quadrature_nodes
     Z = _rank_probes(vecs.shape[0], probes, seed)
     P1, P2 = _sweep(op, contour, np.hstack([Z, vecs]), m)
     estimate = _deflated_trace(Z, P1[:, :probes], P2[:, :probes])
-    if abs(estimate - rank) > rank_tol:
+    if abs(estimate - rank) > RANK_TOL:
         raise ClusterError("projector rank estimate %.3f is not %d "
                            "(contour center %s radius %g)"
                            % (estimate, rank, contour.center, contour.radius))

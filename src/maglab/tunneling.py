@@ -7,10 +7,10 @@ regauged so its overlap with the closed-form oscillator ground state is
 positive.  Delta0 = E1 - E0 of the double-well operator; when the operator
 commutes with x -> -x (symmetric wells, symmetric gauge) E0 and E1 are the
 ground levels of its even and odd parts, and `splitting_direct` solves the two
-half-size parity blocks instead of the full lattice.  Each eigen-solve is one
-shift-invert pass at a near shift under which an inertia count finds no
-level, and further counts prove the levels the lowest (`single_well_ground`,
-`splitting_direct`).  The quasimodes are
+half-size parity blocks instead of the full lattice (`_sector_levels`).
+Each eigen-solve is one shift-invert pass at a near shift under which an
+inertia count finds no level (`spectral._lowest_near`), and one more count
+per block proves the levels the lowest (`_certify`).  The quasimodes are
 Riesz projections of magnetically translated, cut-off oscillator ground
 states; their 2x2 Gramian G and energy matrix M reproduce the splitting
 through sqrt(sigma)/|det G| with sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
@@ -31,8 +31,8 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
 from .mho_kernels import MHOParams, ground_state
 from .spectral import (Contour, EigensolverError, SpectralResult,
                        _lowest_near, _verified_result, count_below,
-                       parity_blocks, parity_defect, riesz_project_with_rank,
-                       unfold_parity)
+                       lowest_eigs, parity_blocks, parity_defect,
+                       riesz_project_with_rank, unfold_parity)
 
 
 class GroundStateError(ValueError):
@@ -127,38 +127,29 @@ def single_well_ground(params: ModelParams, n: int,
     """(SpectralResult, op) for the well at the origin, on the grid of
     `lattice_grid`; op.params carries the snapped d1.
 
-    The operator commutes with x -> -x, and its ground level comes from
-    the even block (`_even_ground`), starting from the oscillator level.
+    The operator commutes with x -> -x, and its ground level comes from the
+    even block alone (`_sector_levels` with k = (1, 0)), starting from the
+    oscillator level.  The inertia counts prove it the lowest level of the
+    whole operator: at E0 + CUT_RTOL * max(|E0|, 1) the even block has one
+    level below, the odd block none; otherwise an EigensolverError names
+    both counts.
     """
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid, params = lattice_grid(params, n)
     op = build_operator(params, grid, wells=[(spec, (0.0, 0.0))])
-    return _even_ground(op, _oscillator_level(params, spec), seed), op
-
-
-def _even_ground(op: SparseHermitianOp, start: float,
-                 seed: int) -> SpectralResult:
-    """The ground level of an operator that commutes with x -> -x, by one
-    k = 1 shift-invert pass on its even block from start (`_lowest_near`).
-
-    The inertia counts prove it the lowest level of the whole operator: at
-    E0 + CUT_RTOL * max(|E0|, 1) the even block has one level below, the
-    odd block none; otherwise an EigensolverError names both counts.
-    """
     symmetric, defect = _commutes_with_parity(op.matrix)
     if not symmetric:
         raise ValueError("the operator does not commute with x -> -x "
                          "(||H - PHP||_max = %.3g)" % defect)
-    even, odd = parity_blocks(op.matrix)
-    vals, vecs, sigma = _lowest_near(even, 1, start, seed)
+    blocks = parity_blocks(op.matrix)
+    vals, _, vecs, shifts = _sector_levels(
+        blocks, (1, 0), _oscillator_level(params, spec), seed)
     cut = vals[0] + CUT_RTOL * max(abs(vals[0]), 1.0)
-    counts = (count_below(even, cut), count_below(odd, cut))
-    if counts != (1, 0):
-        raise EigensolverError(
-            "even ground level %.17g is not the lowest: %d even and %d odd "
-            "level(s) lie below %.17g, where it puts 1 and 0"
-            % (vals[0], counts[0], counts[1], cut))
-    return _verified_result(op, vals, unfold_parity(vecs, 1), shifts=[sigma])
+    _certify(blocks, cut, (1, 0),
+             "even ground level %.17g is not the lowest: {0} even and {1} "
+             "odd level(s) lie below %.17g, where it puts 1 and 0"
+             % (vals[0], cut))
+    return _verified_result(op, vals, vecs, shifts=shifts), op
 
 
 @dataclass
@@ -166,8 +157,6 @@ class HoppingResult:
     rho: complex
     abs_rho: float
     quadrature_error: float
-    phase_convention: str
-    d1_snapped: float
 
 
 def _shift_rows(arr: np.ndarray, s: int) -> np.ndarray:
@@ -181,23 +170,27 @@ def _shift_rows(arr: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
+# the largest eigen-residual of phi0 that `hopping_coefficient` accepts
+GROUND_RESIDUAL_TOL = 1e-5
+
+
 def hopping_coefficient(params: ModelParams, phi0: Field,
                         spec: Optional[WellSpec] = None,
-                        residual: Optional[float] = None,
-                        residual_tol: float = 1e-5) -> HoppingResult:
+                        residual: Optional[float] = None) -> HoppingResult:
     """rho0 as a grid sum over the support of v(. + d).
 
     phi0 must come with its eigen-residual (from SpectralResult.residuals);
-    an absent or too-large residual is a precondition failure.  Before the
-    sum, phi0 is regauged so that its overlap with the oscillator ground
-    state is real positive; only |rho0| is convention-free.
+    an absent residual or one above GROUND_RESIDUAL_TOL is a precondition
+    failure.  Before the sum, phi0 is regauged so that its overlap with the
+    oscillator ground state is real positive; only |rho0| is
+    convention-free.
     """
     if residual is None:
         raise GroundStateError("pass residual=<eigen-residual of phi0>; "
                                "an unverified ground state is rejected")
-    if residual > residual_tol:
+    if residual > GROUND_RESIDUAL_TOL:
         raise GroundStateError("ground-state residual %.3g exceeds %.3g"
-                               % (residual, residual_tol))
+                               % (residual, GROUND_RESIDUAL_TOL))
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid = phi0.grid
     h = grid.spacing
@@ -230,9 +223,7 @@ def hopping_coefficient(params: ModelParams, phi0: Field,
     rho_coarse = quad(2)
     quad_err = abs(rho - rho_coarse) / 3.0        # second-order extrapolation
     return HoppingResult(rho=rho, abs_rho=abs(rho),
-                         quadrature_error=float(quad_err),
-                         phase_convention="mho-overlap-positive",
-                         d1_snapped=d1s)
+                         quadrature_error=float(quad_err))
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +242,9 @@ class QuasimodePair:
     nodes: int                   # quadrature nodes m used, after any doubling
     idempotence_defect: float    # max over the pair of ||Pi^2 f - Pi f||/||f||
 
-    def defects(self) -> dict:
-        return {"norm_minus": abs(self.norm_minus - 1.0),
-                "norm_plus": abs(self.norm_plus - 1.0),
-                "cross_overlap": self.cross_overlap}
-
 
 def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
-               spec: Optional[WellSpec] = None,
-               rank_tol: float = 0.1, rank_probes: int = 6,
+               spec: Optional[WellSpec] = None, rank_probes: int = 6,
                seed: int = 0) -> QuasimodePair:
     """psi_{+-d} = Riesz projection of the translated, cut-off oscillator
     ground state R^{+-d} chi(X) psi0_mho, each normalized before projection.
@@ -271,8 +256,9 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     The projector's rank is estimated from rank_probes random probes in the
     same sweep over the m/2 contour nodes that projects the pair
     (`riesz_project_with_rank`): m/2 LUs, one alive at a time.  A
-    spectral.ClusterError is raised unless the estimate is within rank_tol
-    of 2; a failed idempotence check doubles m for the pair alone.
+    spectral.ClusterError is raised unless the estimate is within
+    spectral.RANK_TOL of 2; a failed idempotence check doubles m for the
+    pair alone.
     """
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid = op.grid
@@ -288,8 +274,8 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     phi_minus = magnetic_translate(base, (-d1s, 0.0), blam)
 
     (psi_minus, psi_plus), rank, nodes, defect = riesz_project_with_rank(
-        op, contour, [phi_minus, phi_plus], rank=2, rank_tol=rank_tol,
-        probes=rank_probes, seed=seed)
+        op, contour, [phi_minus, phi_plus], rank=2, probes=rank_probes,
+        seed=seed)
     return QuasimodePair(
         psi_minus=psi_minus, psi_plus=psi_plus,
         norm_minus=psi_minus.norm(), norm_plus=psi_plus.norm(),
@@ -334,8 +320,13 @@ def reduction_from_matrices(G: np.ndarray, M: np.ndarray,
                              gram_budget=float(gram_budget))
 
 
-def gram_and_m(psi_minus: Field, psi_plus: Field, op: SparseHermitianOp,
-               gram_budget_constant: float = 5.0) -> TwoByTwoReduction:
+# the Gramian defect ||G - I||_2 is expected within
+# GRAM_BUDGET_CONSTANT / sqrt(lam); `gram_and_m` warns beyond it
+GRAM_BUDGET_CONSTANT = 5.0
+
+
+def gram_and_m(psi_minus: Field, psi_plus: Field,
+               op: SparseHermitianOp) -> TwoByTwoReduction:
     """G_ab = <psi_a, psi_b>, M_ab = <psi_a, H psi_b> for a,b in {-d, +d}."""
     pair = [psi_minus, psi_plus]
     images = [op.apply(p) for p in pair]
@@ -346,7 +337,7 @@ def gram_and_m(psi_minus: Field, psi_plus: Field, op: SparseHermitianOp,
             G[i, j] = pair[i].inner(pair[j])
             M[i, j] = pair[i].inner(images[j])
     lam = float(np.real(op.params.lam))
-    budget = gram_budget_constant / np.sqrt(lam)
+    budget = GRAM_BUDGET_CONSTANT / np.sqrt(lam)
     red = reduction_from_matrices(G, M, gram_budget=budget)
     if red.gram_defect > budget:
         warnings.warn("Gramian defect %.3g exceeds the O(lam^{-1/2}) budget "
@@ -366,6 +357,9 @@ PARITY_RTOL = 1e-13
 # E + CUT_RTOL * max(|E|, 1): above its rounding error (~1e-12 absolute at
 # lam <= 45), below the next level, O(1) away
 CUT_RTOL = 1e-8
+# `splitting_direct` calls the pair separated when E2 - E1 exceeds
+# SEPARATION_FACTOR * Delta0
+SEPARATION_FACTOR = 2.0
 
 
 def _commutes_with_parity(M):
@@ -391,49 +385,53 @@ class SplittingResult:
     pair_count: int
 
 
-def splitting_direct(op: SparseHermitianOp, seed: int = 0,
-                     separation_factor: float = 2.0) -> SplittingResult:
+def splitting_direct(op: SparseHermitianOp, seed: int = 0) -> SplittingResult:
     """Delta0 = E1 - E0 with E2 monitoring the gap to the rest of the
-    spectrum; warns when the 2-cluster is not cleanly separated.
+    spectrum; warns when the 2-cluster is not cleanly separated
+    (E2 - E1 <= SEPARATION_FACTOR * Delta0).
 
     When H commutes with the grid reflection P (x -> -x), which holds for the
     symmetric double well in the symmetric gauge, E0 and E1 are the ground
     levels of its even and odd parts.  The "parity" path then solves the two
-    half-size sector blocks, one k = 2 shift-invert pass each: the even
-    sector from the oscillator level (`_oscillator_level`), the odd sector
-    from the even sector's shift, each shift lowered until the inertia count
-    puts no level of its sector below it (`spectral._lowest_near`).  E2 is
-    the smaller second in-sector level.  The eigenvectors are unfolded to
-    full-size fields and their residuals measured against the full H.
+    half-size sector blocks, one k = 2 shift-invert pass each
+    (`_sector_levels` with k = (2, 2)).  E2 is the smaller second in-sector
+    level.  The eigenvectors are unfolded to full-size fields and their
+    residuals measured against the full H.
 
     The "full" path, taken for asymmetric operators (a shifted gauge origin,
     unequal or off-axis wells) and for a pair lying within one sector, solves
-    H itself by one k = 3 pass from the oscillator level, the same way.
+    H itself by one k = 3 pass (`spectral.lowest_eigs`) from the oscillator
+    level.
 
     Either way the levels are proven, not presumed: no level lies below any
-    shift, and the counts at (E1 + E2)/2 (of the two sectors, or of H) sum
-    to 2, so E0, E1 are the two lowest levels and E2 the third.  A count
+    shift, and the counts at (E1 + E2)/2 are one per sector, or two of H, so
+    E0, E1 are the two lowest levels and E2 the third (`_certify`).  A count
     that disagrees with the computed levels raises EigensolverError.  The
     near shifts keep the absolute eigenvalue error ~eps * |E - sigma| small
     against the splitting, which can be many orders smaller than E0.
     """
     M = op.matrix
+    start = _oscillator_level(op.params)
     symmetric, defect = _commutes_with_parity(M)
-    blocks = parity_blocks(M) if symmetric else None
-    res = _parity_levels(op, blocks, seed) if symmetric else None
-    path = "parity"
+    res = None
+    if symmetric:
+        blocks = parity_blocks(M)
+        vals, ranks, vecs, shifts = _sector_levels(blocks, (2, 2), start,
+                                                   seed)
+        if ranks[0] == ranks[1] == 0:        # one ground level per sector
+            path, expected = "parity", (1, 1)
+            res = _verified_result(op, vals[:3], vecs[:, :3], shifts=shifts)
     if res is None:
-        path, blocks, res = "full", (M,), _full_levels(op, seed)
+        path, blocks, expected = "full", (M,), (2,)
+        res = lowest_eigs(op, 3, seed, start=start)
     e0, e1, e2 = res.eigenvalues
     cut = 0.5 * (e1 + e2)
-    pair = sum(count_below(B, cut) for B in blocks)
-    if pair != 2:
-        raise EigensolverError(
-            "%d level(s) lie below (E1 + E2)/2 = %.17g, where the computed "
-            "levels E0, E1, E2 = %.17g, %.17g, %.17g put 2"
-            % (pair, cut, e0, e1, e2))
+    counts = _certify(blocks, cut, expected,
+                      "{total} level(s) lie below (E1 + E2)/2 = %.17g, where "
+                      "the computed levels E0, E1, E2 = %.17g, %.17g, %.17g "
+                      "put 2" % (cut, e0, e1, e2))
     delta = e1 - e0
-    separated = (e2 - e1) > separation_factor * max(delta, 1e-300)
+    separated = (e2 - e1) > SEPARATION_FACTOR * max(delta, 1e-300)
     if not separated:
         warnings.warn("cluster gap E2-E1 = %.3g does not dominate the "
                       "splitting %.3g" % (e2 - e1, delta))
@@ -442,40 +440,46 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
                            path=path, parity_defect=defect,
                            shifts=res.shifts,
                            shift_counts=[0] * len(res.shifts),
-                           pair_count=pair)
+                           pair_count=sum(counts))
 
 
-def _full_levels(op: SparseHermitianOp, seed: int) -> SpectralResult:
-    """E0..E2 of H itself, by one k = 3 pass from the oscillator level."""
-    vals, vecs, sigma = _lowest_near(op.matrix, 3,
-                                     _oscillator_level(op.params), seed)
-    return _verified_result(op, vals, vecs, shifts=[sigma])
+def _sector_levels(blocks, ks: Sequence[int], start: float, seed: int):
+    """(vals, ranks, vecs, shifts): the ks[0] lowest levels of the even
+    block and the ks[1] lowest of the odd block, ascending, with each
+    level's rank within its sector and its full-size field (`unfold_parity`)
+    as a column of vecs; one shift-invert pass (`_lowest_near`) per sector
+    with k > 0, whose shift is in shifts.
 
-
-def _parity_levels(op: SparseHermitianOp, blocks,
-                   seed: int) -> Optional[SpectralResult]:
-    """E0..E2 from the (even, odd) blocks of H, or None when the two lowest
-    levels are not one ground level per sector.
-
-    The odd sector starts from the even sector's shift, so that both are
-    normally solved at one shift: their rounding errors are then correlated
-    and cancel in E1 - E0 (at lam = 45, b = 0.05, n = 320, Delta0 moved by
-    8e-9 relative between two Lanczos seeds with the odd shift at the even
-    ground, and by 3e-10 with one common shift).
+    The even sector starts from start and the odd sector from the even
+    sector's shift, so that both are normally solved at one shift: their
+    rounding errors are then correlated and cancel in E1 - E0 (at lam = 45,
+    b = 0.05, n = 320, Delta0 moved by 8e-9 relative between two Lanczos
+    seeds with the odd shift at the even ground, and by 3e-10 with one
+    common shift).
     """
-    sigma = _oscillator_level(op.params)
-    levels, shifts = [], []                      # (E, rank in sector, field)
-    for B, sign in zip(blocks, (1, -1)):
-        vals, vecs, sigma = _lowest_near(B, 2, sigma, seed)
+    sigma, levels, shifts = start, [], []
+    for B, sign, k in zip(blocks, (1, -1), ks):
+        if k == 0:
+            continue
+        vals, vecs, sigma = _lowest_near(B, k, sigma, seed)
         shifts.append(sigma)
         levels += [(vals[j], j, unfold_parity(vecs[:, j], sign))
-                   for j in range(2)]
+                   for j in range(k)]
     levels.sort(key=lambda lv: lv[0])
-    if levels[0][1] != 0 or levels[1][1] != 0:
-        return None
-    return _verified_result(op, np.array([lv[0] for lv in levels[:3]]),
-                            np.stack([lv[2] for lv in levels[:3]], axis=1),
-                            shifts=shifts)
+    vals, ranks, vecs = zip(*levels)
+    return np.array(vals), list(ranks), np.stack(vecs, axis=1), shifts
+
+
+def _certify(blocks, cut: float, expected: tuple, message: str) -> tuple:
+    """The inertia counts of the blocks at cut (`count_below`), which must
+    be `expected`, the number of computed levels of each block below cut:
+    then no level below cut was missed.  Otherwise raises EigensolverError
+    with message, formatted with the counts in block order and their sum
+    as `total`."""
+    counts = tuple(count_below(B, cut) for B in blocks)
+    if counts != expected:
+        raise EigensolverError(message.format(*counts, total=sum(counts)))
+    return counts
 
 
 RATIO_CSV_COLUMNS = ["lambda", "b", "d1", "E0", "E1", "Delta", "abs_rho",

@@ -130,6 +130,18 @@ def test_spectrum_writes_its_bundle(tmp_path, capsys):
     assert bundle["orthogonality_defect"] <= 1e-8
 
 
+def test_spectrum_writes_to_the_configured_output_dir(tmp_path,
+                                                      monkeypatch):
+    out = tmp_path / "configured"
+    cfg = write(tmp_path / "c.ini", "[output]\ndir = %s\n" % out)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["spectrum", "--config", cfg, "--lam", "2", "--a", "0.3",
+                   "--d1", "0.35", "--grid-n", "50", "--k", "1"])
+    assert rc == EXIT_OK
+    assert (out / "spectrum.json").is_file()
+    assert not (tmp_path / "results").exists()
+
+
 def test_splitting_prints_its_count_certificate(capsys):
     rc = cli.main(["splitting", "--lam", "2", "--a", "0.3", "--d1", "0.35",
                    "--grid-n", "50"])

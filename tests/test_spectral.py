@@ -10,13 +10,13 @@ import scipy.sparse.linalg as spla
 
 from maglab.grid_model import Field, Grid2D, ModelParams, build_operator
 from maglab.spectral import (
-    DENSE_FALLBACK_N,
     ClusterError,
     Contour,
     EigensolverError,
+    _gershgorin_bound,
     _rank_probes,
-    _shift_invert,
     _sweep,
+    _verified_result,
     count_below,
     lowest_eigs,
     projector_rank_estimate,
@@ -63,20 +63,22 @@ def test_lowest_eigs_rejects_large_k():
         lowest_eigs(op, k=400)
 
 
-def test_lowest_eigs_rejects_shift_inside_spectrum():
+def test_lowest_eigs_lowers_a_start_inside_the_spectrum():
     op = make_op(n=56)
-    assert op.grid.n > DENSE_FALLBACK_N          # the ARPACK path
     w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 2])
-    # below the spectrum the shift gives the lowest levels ...
-    res = lowest_eigs(op, k=2, sigma=w[0] - 1.0)
+    # below the spectrum the solve runs at the start itself ...
+    res = lowest_eigs(op, k=2, start=w[0] - 1.0)
     np.testing.assert_allclose(res.eigenvalues, w[:2], rtol=1e-10)
-    # ... between E0 and E1 the nearest two include E0 < sigma
-    with pytest.raises(EigensolverError, match="inside the spectrum"):
-        lowest_eigs(op, k=2, sigma=0.5 * (w[0] + w[1]))
+    assert res.shifts == [w[0] - 1.0]
+    # ... between E0 and E1 the count finds E0 below it, and the shift is
+    # lowered under E0 before the solve, which then gives E0 and E1
+    res = lowest_eigs(op, k=2, start=0.5 * (w[0] + w[1]))
+    np.testing.assert_allclose(res.eigenvalues, w[:2], rtol=1e-10)
+    assert res.shifts[0] < w[0]
 
 
 def test_shift_invert_hands_one_minimum_degree_lu_to_arpack(monkeypatch):
-    op = make_op(n=30)
+    op = make_op(n=20)
     w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 2])
     orderings = []
     splu = spla.splu
@@ -92,12 +94,22 @@ def test_shift_invert_hands_one_minimum_degree_lu_to_arpack(monkeypatch):
     monkeypatch.setattr(
         importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack"),
         "splu", forbidden_splu)
-    vals, _ = _shift_invert(op.matrix, 2, w[0] - 1.0, seed=0)
-    np.testing.assert_allclose(vals, w[:2], rtol=1e-10)
+    res = lowest_eigs(op, k=2)
+    np.testing.assert_allclose(res.eigenvalues, w[:2], rtol=1e-10)
     assert orderings == ["MMD_AT_PLUS_A"]
-    with pytest.raises(EigensolverError, match="inside the spectrum"):
-        _shift_invert(op.matrix, 2, 0.5 * (w[0] + w[1]), seed=0)
-    assert orderings == ["MMD_AT_PLUS_A"] * 2
+    assert res.shifts == [_gershgorin_bound(op.matrix) - 1.0]
+
+
+def test_verified_result_reorthonormalizes_skewed_vectors():
+    op = make_op()
+    w, V = dense_eigs(op)
+    vecs = V[:, :2].copy()
+    vecs[:, 1] += 1e-5 * vecs[:, 0]           # overlap ~1e-5 > 1e-8
+    res = _verified_result(op, w[:2], vecs)
+    G = np.array([[f.inner(g) for g in res.eigenvectors]
+                  for f in res.eigenvectors])
+    np.testing.assert_allclose(G, np.eye(2), atol=1e-12)
+    assert res.orthogonality_defect <= 1e-12
 
 
 def test_contour_clearance():

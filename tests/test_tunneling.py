@@ -20,21 +20,13 @@ from maglab.grid_model import (
     choose_grid,
 )
 from maglab import tunneling
-from maglab.spectral import (
-    DENSE_FALLBACK_N,
-    EigensolverError,
-    _gershgorin_bound,
-    _gershgorin_shift,
-    lowest_eigs,
-)
+from maglab.spectral import EigensolverError, _gershgorin_bound, lowest_eigs
 from maglab.tunneling import (
     PARITY_RTOL,
     DegenerateQuasimodeError,
     GroundStateError,
     RATIO_CSV_COLUMNS,
     RatioRow,
-    _even_ground,
-    _full_levels,
     _oscillator_level,
     cutoff_field,
     hopping_coefficient,
@@ -194,16 +186,21 @@ def test_ground_state_close_to_oscillator_gaussian(ground_b):
 
 
 def small_double_well(b, gauge_origin=(0.0, 0.0)):
-    """Symmetric double well on the smallest grid that takes the ARPACK path
-    (h*lam = 0.41; at this size it is a weakly perturbed box)."""
+    """Symmetric double well on an n = 50 grid (h*lam = 0.41; at this size
+    it is a weakly perturbed box)."""
     params = ModelParams(lam=2.0, b=b, d1=0.35, a=0.3)
-    grid = choose_grid(params, DENSE_FALLBACK_N + 2, double_well=True,
-                       pad=0.1)
+    grid = choose_grid(params, 50, double_well=True, pad=0.1)
     d1s = float(grid.snap([params.d1, 0.0])[0])
     spec = WellSpec.radial(params.a)
     return build_operator(replace(params, d1=d1s), grid,
                           wells=[(spec, (-d1s, 0.0)), (spec, (d1s, 0.0))],
                           gauge_origin=gauge_origin)
+
+
+def full_operator_levels(op):
+    """E0..E2 of H itself, solved as the full path of `splitting_direct`
+    solves them."""
+    return lowest_eigs(op, 3, seed=0, start=_oscillator_level(op.params))
 
 
 def assert_levels_match(sd, ref):
@@ -231,7 +228,7 @@ def test_splitting_parity_path_matches_full_operator(b):
         sd = splitting_direct(op, seed=0)
     assert sd.path == "parity"
     assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
-    assert_levels_match(sd, _full_levels(op, 0))
+    assert_levels_match(sd, full_operator_levels(op))
     assert max(full_residuals(op, sd.spectral)) <= 1e-8
     assert sd.spectral.orthogonality_defect <= 1e-8
     # E0 and E1 are one even and one odd field under x -> -x
@@ -247,7 +244,7 @@ def test_splitting_asymmetric_gauge_takes_full_path():
         sd = splitting_direct(op, seed=0)
     assert sd.path == "full"
     assert sd.parity_defect > 0.1
-    ref = _full_levels(op, 0)
+    ref = full_operator_levels(op)
     assert sd.energies == ref.eigenvalues
     assert sd.delta == ref.eigenvalues[1] - ref.eigenvalues[0]
     assert max(full_residuals(op, sd.spectral)) <= 1e-8
@@ -275,7 +272,7 @@ def test_splitting_pair_within_one_sector_takes_full_path():
     sd = splitting_direct(op, seed=0)
     assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
     assert sd.path == "full"
-    assert_levels_match(sd, _full_levels(op, 0))
+    assert_levels_match(sd, full_operator_levels(op))
     assert max(full_residuals(op, sd.spectral)) <= 1e-8
 
 
@@ -296,7 +293,7 @@ def test_splitting_below_a_coupling_beyond_the_stencil():
     w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 2])
     h = op.grid.spacing
     assert w[0] < np.min(op.matrix.diagonal().real) - 4.0 / h ** 2 - 1.0
-    assert _gershgorin_shift(op) < w[0]
+    assert _gershgorin_bound(op.matrix) - 1.0 < w[0]
     with pytest.warns(UserWarning, match="cluster gap"):
         sd = splitting_direct(op, seed=0)
     assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
@@ -342,25 +339,36 @@ def test_splitting_raises_when_a_count_disagrees(monkeypatch):
             splitting_direct(op, seed=0)
 
 
-def test_single_well_refuses_an_odd_ground_level():
+def test_single_well_refuses_an_odd_ground_level(monkeypatch):
     # an odd two-site well -depth * o o^T, o = (delta_k - delta_{N-1-k}) /
-    # sqrt(2), keeps H commuting with x -> -x but makes its lowest level odd
-    op = small_double_well(0.05)
-    N = op.dimension
-    H = op.matrix.tolil()
-    k = N // 3
-    for i, j, sign in ((k, k, 1), (N - 1 - k, N - 1 - k, 1),
-                       (k, N - 1 - k, -1), (N - 1 - k, k, -1)):
-        H[i, j] -= sign * 100.0
-    op = SparseHermitianOp(matrix=H.tocsr(), grid=op.grid, params=op.params,
-                           n_wells=op.n_wells)
-    w, V = la.eigh(op.matrix.toarray(), subset_by_index=[0, 1])
-    assert np.vdot(V[:, 0], V[::-1, 0]).real < -0.99       # odd ground
+    # sqrt(2), added to the single-well lattice keeps H commuting with
+    # x -> -x but makes its lowest level odd
+    built = []
+    build = tunneling.build_operator
+
+    def with_odd_well(*args, **kwargs):
+        op = build(*args, **kwargs)
+        N = op.dimension
+        H = op.matrix.tolil()
+        k = N // 3
+        for i, j, sign in ((k, k, 1), (N - 1 - k, N - 1 - k, 1),
+                           (k, N - 1 - k, -1), (N - 1 - k, k, -1)):
+            H[i, j] -= sign * 100.0
+        built.append(SparseHermitianOp(matrix=H.tocsr(), grid=op.grid,
+                                       params=op.params, n_wells=op.n_wells))
+        return built[-1]
+
+    monkeypatch.setattr(tunneling, "build_operator", with_odd_well)
+    params = ModelParams(lam=2.0, b=0.05, d1=0.35, a=0.3)
     try:
-        res = _even_ground(op, _oscillator_level(op.params), seed=0)
+        res, _ = single_well_ground(params, 50, seed=0)
     except EigensolverError as err:
         assert "1 even and 1 odd" in str(err)
-    else:
+        res = None
+    (op,) = built
+    w, V = la.eigh(op.matrix.toarray(), subset_by_index=[0, 1])
+    assert np.vdot(V[:, 0], V[::-1, 0]).real < -0.99       # odd ground
+    if res is not None:
         assert abs(res.eigenvalues[0] - w[0]) <= 1e-9 * abs(w[0])
 
 
@@ -384,7 +392,7 @@ def test_parity_path_makes_one_near_eigsh_call_per_sector(monkeypatch):
 
     calls.clear()
     params = ModelParams(lam=2.0, b=0.05, d1=0.35, a=0.3)
-    res, sw = single_well_ground(params, DENSE_FALLBACK_N + 2, seed=0)
+    res, sw = single_well_ground(params, 50, seed=0)
     assert [(n, k) for n, k, _, _ in calls] == [(sw.dimension // 2, 1)]
     assert calls[0][2] > calls[0][3]
     assert res.shifts == [calls[0][2]]
