@@ -42,9 +42,9 @@ from .mho_kernels import (discretize_mho, ground_state, mho_params,
                           mho_semigroup_defect)
 from .partition import build_partition, verify_partition
 from .spectral import lowest_eigs
-from .tunneling import (RATIO_CSV_COLUMNS, RatioRow, hopping_coefficient,
-                        lattice_grid, ratio_point, read_ratio_csv,
-                        single_well_ground, splitting_direct,
+from .tunneling import (RATIO_CSV_COLUMNS, RatioRow, _oscillator_level,
+                        hopping_coefficient, lattice_grid, ratio_point,
+                        read_ratio_csv, single_well_ground, splitting_direct,
                         write_ratio_csv)
 
 EXIT_OK = 0
@@ -231,7 +231,8 @@ def _double_well(cfg: RunConfig, args) -> SparseHermitianOp:
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     op = _double_well(cfg, args)
-    res = lowest_eigs(op, k=args.k, seed=args.seed)
+    res = lowest_eigs(op, k=args.k, seed=args.seed,
+                      start=_oscillator_level(op.params))
     for j, ev in enumerate(res.eigenvalues):
         print("E%d = %.12e   (residual %.2e)" % (j, ev, res.residuals[j]))
     params, grid = op.params, op.grid
@@ -269,8 +270,9 @@ def cmd_splitting(cfg: RunConfig, args) -> int:
     print("Delta0 = %.12e" % res.delta)
     print("path   = %s (parity defect %.2e)" % (res.path, res.parity_defect))
     print("counts = %s below shifts %s; %d below (E1+E2)/2 = %.12e"
-          % (", ".join(map(str, res.shift_counts)),
-             ", ".join("%.12e" % s for s in res.shifts), res.pair_count,
+          % (", ".join("0" for _ in res.spectral.shifts),
+             ", ".join("%.12e" % s for s in res.spectral.shifts),
+             res.pair_count,
              0.5 * (res.energies[1] + res.energies[2])))
     if not res.cluster_separated:
         print("warning: two-level cluster poorly separated from E2",

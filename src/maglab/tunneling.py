@@ -10,10 +10,12 @@ ground levels of its even and odd parts, and `splitting_direct` solves the two
 half-size parity blocks instead of the full lattice (`_sector_levels`).
 Each eigen-solve is one shift-invert pass at a near shift under which an
 inertia count finds no level (`spectral._lowest_near`), and one more count
-per block proves the levels the lowest (`_certify`).  The quasimodes are
-Riesz projections of magnetically translated, cut-off oscillator ground
-states; their 2x2 Gramian G and energy matrix M reproduce the splitting
-through sqrt(sigma)/|det G| with sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
+per block proves the levels the lowest (`_certify`); a sweep point
+(`ratio_point`) solves for E0, E1 alone, and counts prove the pair isolated
+without computing E2.  The quasimodes are Riesz projections of magnetically
+translated, cut-off oscillator ground states; their 2x2 Gramian G and energy
+matrix M reproduce the splitting through sqrt(sigma)/|det G| with
+sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -371,76 +373,133 @@ def _commutes_with_parity(M):
 @dataclass
 class SplittingResult:
     delta: float
-    energies: List[float]
+    energies: List[float]   # E0, E1, E2; E0, E1 when E2 is not wanted
     spectral: SpectralResult
     cluster_separated: bool
     path: str               # "parity" (even/odd sector solve) or "full"
     parity_defect: float    # ||H - PHP||_max, P: x -> -x
-    # the certificate by inertia counts: the shift of each shift-invert pass
-    # with the number of levels below it (0), and the number of levels below
-    # (E1 + E2)/2 (2), the proof that E0, E1 are the two lowest levels and
-    # that the pair is isolated from E2
-    shifts: List[float]
-    shift_counts: List[int]
-    pair_count: int
+    # the certificate by inertia counts, one per block (even and odd sector,
+    # or H itself): no level lies below any of spectral.shifts, and
+    # pair_counts levels, one per sector or two of H, lie below the cut that
+    # proves E0, E1 the two lowest levels (`splitting_direct`);
+    # separation_counts are the counts at E1 + SEPARATION_FACTOR * Delta0
+    # (None when E2 is computed)
+    pair_counts: Tuple[int, ...]
+    separation_counts: Optional[Tuple[int, ...]] = None
+
+    @property
+    def pair_count(self) -> int:
+        """The number of levels below the certifying cut: 2."""
+        return sum(self.pair_counts)
 
 
-def splitting_direct(op: SparseHermitianOp, seed: int = 0) -> SplittingResult:
-    """Delta0 = E1 - E0 with E2 monitoring the gap to the rest of the
-    spectrum; warns when the 2-cluster is not cleanly separated
+def splitting_direct(op: SparseHermitianOp, seed: int = 0,
+                     start: Optional[float] = None,
+                     with_e2: bool = True) -> SplittingResult:
+    """Delta0 = E1 - E0, with the pair's isolation from the rest of the
+    spectrum checked; warns when the 2-cluster is not cleanly separated
     (E2 - E1 <= SEPARATION_FACTOR * Delta0).
 
     When H commutes with the grid reflection P (x -> -x), which holds for the
     symmetric double well in the symmetric gauge, E0 and E1 are the ground
     levels of its even and odd parts.  The "parity" path then solves the two
-    half-size sector blocks, one k = 2 shift-invert pass each
-    (`_sector_levels` with k = (2, 2)).  E2 is the smaller second in-sector
-    level.  The eigenvectors are unfolded to full-size fields and their
+    half-size sector blocks, one shift-invert pass each (`_sector_levels`),
+    k = 2 per sector with E2 (the smaller second in-sector level), k = 1
+    without.  The eigenvectors are unfolded to full-size fields and their
     residuals measured against the full H.
 
     The "full" path, taken for asymmetric operators (a shifted gauge origin,
     unequal or off-axis wells) and for a pair lying within one sector, solves
-    H itself by one k = 3 pass (`spectral.lowest_eigs`) from the oscillator
-    level.
+    H itself by one k = 3 pass (k = 2 without E2, `spectral.lowest_eigs`).
+
+    The shift search starts from start, by default the oscillator level; a
+    level already certified nearby (`ratio_point` passes the single well's
+    ground minus its hopping estimate 2|rho0| of the splitting) saves the
+    LUs of rejected shifts.
 
     Either way the levels are proven, not presumed: no level lies below any
-    shift, and the counts at (E1 + E2)/2 are one per sector, or two of H, so
-    E0, E1 are the two lowest levels and E2 the third (`_certify`).  A count
-    that disagrees with the computed levels raises EigensolverError.  The
-    near shifts keep the absolute eigenvalue error ~eps * |E - sigma| small
-    against the splitting, which can be many orders smaller than E0.
+    shift, and the inertia counts (`count_below`) are one per sector, or two
+    of H, below a cut above E1 (`_certify`):
+    - with E2, the cut (E1 + E2)/2, which also proves E2 the third level;
+    - without E2, first E1 + SEPARATION_FACTOR * Delta0.  There those counts
+      prove the pair the two lowest levels and separated (E2 - E1 >
+      SEPARATION_FACTOR * Delta0) with no third solve.  Otherwise the pair
+      is certified at E1 + CUT_RTOL * max(|E1|, 1) and called not
+      separated; on the parity path a count other than one per sector there
+      means the pair lies within one sector, and the full path is taken.
+    A count that disagrees with the computed levels on the path that makes
+    it final raises EigensolverError.  The near shifts keep the absolute
+    eigenvalue error ~eps * |E - sigma| small against the splitting, which
+    can be many orders smaller than E0.
     """
     M = op.matrix
-    start = _oscillator_level(op.params)
+    start = _oscillator_level(op.params) if start is None else start
+    k = 3 if with_e2 else 2
     symmetric, defect = _commutes_with_parity(M)
-    res = None
+    certificate = None
     if symmetric:
         blocks = parity_blocks(M)
-        vals, ranks, vecs, shifts = _sector_levels(blocks, (2, 2), start,
-                                                   seed)
+        vals, ranks, vecs, shifts = _sector_levels(blocks, (k - 1, k - 1),
+                                                   start, seed)
         if ranks[0] == ranks[1] == 0:        # one ground level per sector
-            path, expected = "parity", (1, 1)
-            res = _verified_result(op, vals[:3], vecs[:, :3], shifts=shifts)
-    if res is None:
-        path, blocks, expected = "full", (M,), (2,)
-        res = lowest_eigs(op, 3, seed, start=start)
-    e0, e1, e2 = res.eigenvalues
-    cut = 0.5 * (e1 + e2)
-    counts = _certify(blocks, cut, expected,
-                      "{total} level(s) lie below (E1 + E2)/2 = %.17g, where "
-                      "the computed levels E0, E1, E2 = %.17g, %.17g, %.17g "
-                      "put 2" % (cut, e0, e1, e2))
-    delta = e1 - e0
-    separated = (e2 - e1) > SEPARATION_FACTOR * max(delta, 1e-300)
-    if not separated:
-        warnings.warn("cluster gap E2-E1 = %.3g does not dominate the "
-                      "splitting %.3g" % (e2 - e1, delta))
-    return SplittingResult(delta=float(delta), energies=[e0, e1, e2],
+            path = "parity"
+            res = _verified_result(op, vals[:k], vecs[:, :k], shifts=shifts)
+            certificate = _pair_certificate(blocks, res.eigenvalues, (1, 1),
+                                            final=with_e2)
+    if certificate is None:
+        path = "full"
+        res = lowest_eigs(op, k, seed, start=start)
+        certificate = _pair_certificate((M,), res.eigenvalues, (2,),
+                                        final=True)
+    counts, separation, separated = certificate
+    delta = res.eigenvalues[1] - res.eigenvalues[0]
+    return SplittingResult(delta=float(delta), energies=list(res.eigenvalues),
                            spectral=res, cluster_separated=separated,
                            path=path, parity_defect=defect,
-                           shifts=res.shifts,
-                           shift_counts=[0] * len(res.shifts),
-                           pair_count=sum(counts))
+                           pair_counts=counts, separation_counts=separation)
+
+
+def _pair_certificate(blocks, vals, expected: tuple, final: bool):
+    """(pair counts, separation counts, separated): the counts of the blocks
+    that certify the computed levels vals = E0, E1[, E2] as in
+    `splitting_direct`; expected is the number of pair levels in each block.
+
+    Warns when the pair is not separated.  Pair counts other than expected
+    raise EigensolverError, except without E2 and not final, where the
+    result is None and nothing is warned.
+    """
+    e0, e1 = vals[0], vals[1]
+    delta = e1 - e0
+    if len(vals) == 3:
+        e2 = vals[2]
+        cut = 0.5 * (e1 + e2)
+        counts = _certify(blocks, cut, expected,
+                          "{total} level(s) lie below (E1 + E2)/2 = %.17g, "
+                          "where the computed levels E0, E1, E2 = %.17g, "
+                          "%.17g, %.17g put 2" % (cut, e0, e1, e2))
+        separated = (e2 - e1) > SEPARATION_FACTOR * max(delta, 1e-300)
+        if not separated:
+            warnings.warn("cluster gap E2-E1 = %.3g does not dominate the "
+                          "splitting %.3g" % (e2 - e1, delta))
+        return counts, None, separated
+    gap_cut = e1 + SEPARATION_FACTOR * max(delta, 1e-300)
+    separation = _counts(blocks, gap_cut)
+    if separation == expected:
+        return separation, separation, True
+    cut = e1 + CUT_RTOL * max(abs(e1), 1.0)
+    counts = _counts(blocks, cut)
+    if counts != expected:
+        if not final:
+            return None
+        raise EigensolverError(
+            "%d level(s) lie below E1 + %g * max(|E1|, 1) = %.17g, where "
+            "the computed levels E0, E1 = %.17g, %.17g put 2"
+            % (sum(counts), CUT_RTOL, cut, e0, e1))
+    warnings.warn("cluster gap E2-E1 does not dominate the splitting %.3g: "
+                  "the counts below E1 + %g * Delta0 = %.17g are %s, not %s"
+                  % (delta, SEPARATION_FACTOR, gap_cut, separation,
+                     expected))
+    return counts, separation, False
 
 
 def _sector_levels(blocks, ks: Sequence[int], start: float, seed: int):
@@ -470,13 +529,17 @@ def _sector_levels(blocks, ks: Sequence[int], start: float, seed: int):
     return np.array(vals), list(ranks), np.stack(vecs, axis=1), shifts
 
 
+def _counts(blocks, cut: float) -> tuple:
+    """The inertia counts of the blocks at cut (`count_below`)."""
+    return tuple(count_below(B, cut) for B in blocks)
+
+
 def _certify(blocks, cut: float, expected: tuple, message: str) -> tuple:
-    """The inertia counts of the blocks at cut (`count_below`), which must
-    be `expected`, the number of computed levels of each block below cut:
-    then no level below cut was missed.  Otherwise raises EigensolverError
-    with message, formatted with the counts in block order and their sum
-    as `total`."""
-    counts = tuple(count_below(B, cut) for B in blocks)
+    """The inertia counts of the blocks at cut, which must be `expected`,
+    the number of computed levels of each block below cut: then no level
+    below cut was missed.  Otherwise raises EigensolverError with message,
+    formatted with the counts in block order and their sum as `total`."""
+    counts = _counts(blocks, cut)
     if counts != expected:
         raise EigensolverError(message.format(*counts, total=sum(counts)))
     return counts
@@ -510,7 +573,12 @@ def ratio_point(params: ModelParams, n: int,
                 spec: Optional[WellSpec] = None, seed: int = 0) -> RatioRow:
     """One sweep point: Delta0 from the double well, rho0 from the single
     well on the same grid (`lattice_grid`), and their ratio
-    Delta0 / (2 |rho0|)."""
+    Delta0 / (2 |rho0|).
+
+    The double well is solved for its pair alone (`splitting_direct`
+    without E2), starting from E0 of the single well minus 2|rho0|, its
+    hopping estimate of the splitting, so the pair's isolation rests on
+    inertia counts instead of a computed E2."""
     spec = spec if spec is not None else WellSpec.radial(params.a)
     res1, sw = single_well_ground(params, n, spec=spec, seed=seed)
     grid, params_s = sw.grid, sw.params
@@ -520,7 +588,9 @@ def ratio_point(params: ModelParams, n: int,
 
     dw = build_operator(params_s, grid,
                         wells=[(spec, (-d1s, 0.0)), (spec, (+d1s, 0.0))])
-    split = splitting_direct(dw, seed=seed)
+    split = splitting_direct(dw, seed=seed,
+                             start=res1.eigenvalues[0] - 2.0 * hop.abs_rho,
+                             with_e2=False)
 
     ratio = split.delta / (2.0 * hop.abs_rho)
     return RatioRow(lam=float(np.real(params.lam)), b=params.b, d1=d1s,

@@ -19,7 +19,7 @@ from maglab.cli import (
 )
 from maglab.grid_model import ModelParams, choose_grid
 from maglab.spectral import EigensolverError
-from maglab.tunneling import lattice_grid, ratio_point
+from maglab.tunneling import lattice_grid, ratio_point, splitting_direct
 
 SWEEP_INI = """\
 [model]
@@ -128,6 +128,28 @@ def test_spectrum_writes_its_bundle(tmp_path, capsys):
     assert bundle["eigenvalues"] == pytest.approx(energies, rel=1e-11)
     assert len(bundle["residuals"]) == 3
     assert bundle["orthogonality_defect"] <= 1e-8
+
+
+def test_spectrum_levels_match_the_splitting_levels(tmp_path, monkeypatch):
+    # `maglab spectrum` starts its shift search where `splitting_direct`
+    # does, at the oscillator level, and gives its E0, E1, E2
+    built = []
+    double_well = cli._double_well
+
+    def recording(cfg, args):
+        built.append(double_well(cfg, args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_double_well", recording)
+    rc = cli.main(["spectrum", "--lam", "2", "--a", "0.3", "--d1", "0.35",
+                   "--grid-n", "50", "--k", "3", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    with open(tmp_path / "spectrum.json") as fh:
+        levels = json.load(fh)["eigenvalues"]
+    (op,) = built
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0)
+    np.testing.assert_allclose(levels, sd.energies, rtol=1e-11)
 
 
 def test_spectrum_writes_to_the_configured_output_dir(tmp_path,

@@ -63,9 +63,15 @@ def test_lowest_eigs_rejects_large_k():
         lowest_eigs(op, k=400)
 
 
-def test_lowest_eigs_lowers_a_start_inside_the_spectrum():
+@pytest.fixture(scope="module")
+def op56():
+    """(op, its five lowest levels by a dense eigvalsh) on the n = 56 grid."""
     op = make_op(n=56)
-    w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 2])
+    return op, la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 4])
+
+
+def test_lowest_eigs_lowers_a_start_inside_the_spectrum(op56):
+    op, w = op56
     # below the spectrum the solve runs at the start itself ...
     res = lowest_eigs(op, k=2, start=w[0] - 1.0)
     np.testing.assert_allclose(res.eigenvalues, w[:2], rtol=1e-10)
@@ -302,9 +308,8 @@ def test_quasimodes_factorizes_each_node_once(monkeypatch):
     assert 0.0 <= qm.idempotence_defect <= 1e-8
 
 
-def test_count_below_matches_dense_eigvalsh():
-    op = make_op(n=56)
-    w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 4])
+def test_count_below_matches_dense_eigvalsh(op56):
+    op, w = op56
     points = ([w[0] - 1.0, w[0] - 1e-6]                      # below
               + [w[0] + 1e-6]                                # just above E0
               + [0.5 * (w[j] + w[j + 1]) for j in range(3)]  # mid-gaps

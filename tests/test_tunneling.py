@@ -20,7 +20,8 @@ from maglab.grid_model import (
     choose_grid,
 )
 from maglab import tunneling
-from maglab.spectral import EigensolverError, _gershgorin_bound, lowest_eigs
+from maglab.spectral import (EigensolverError, _gershgorin_bound,
+                             count_below, lowest_eigs, parity_blocks)
 from maglab.tunneling import (
     PARITY_RTOL,
     DegenerateQuasimodeError,
@@ -32,6 +33,7 @@ from maglab.tunneling import (
     hopping_coefficient,
     mho_ground_field,
     mho_reference,
+    ratio_point,
     read_ratio_csv,
     reduction_from_matrices,
     single_well_ground,
@@ -255,11 +257,11 @@ def test_splitting_asymmetric_gauge_takes_full_path():
     assert_levels_match(sym, ref)
 
 
-def test_splitting_pair_within_one_sector_takes_full_path():
-    # two even two-site wells -depth * e e^T, e = (delta_k + delta_{N-1-k}) /
-    # sqrt(2), put both lowest levels in the even sector while P still
-    # commutes with H; shallow enough that every level stays above the
-    # lattice's Gershgorin shift
+def pair_in_one_sector():
+    """small_double_well(0.05) with two even two-site wells -depth * e e^T,
+    e = (delta_k + delta_{N-1-k}) / sqrt(2): both lowest levels lie in the
+    even sector while P still commutes with H; shallow enough that every
+    level stays above the lattice's Gershgorin shift."""
     op = small_double_well(0.05)
     N = op.dimension
     H = op.matrix.tolil()
@@ -267,8 +269,12 @@ def test_splitting_pair_within_one_sector_takes_full_path():
         for i in (k, N - 1 - k):
             for j in (k, N - 1 - k):
                 H[i, j] -= depth / 2
-    op = SparseHermitianOp(matrix=H.tocsr(), grid=op.grid, params=op.params,
-                           n_wells=op.n_wells)
+    return SparseHermitianOp(matrix=H.tocsr(), grid=op.grid,
+                             params=op.params, n_wells=op.n_wells)
+
+
+def test_splitting_pair_within_one_sector_takes_full_path():
+    op = pair_in_one_sector()
     sd = splitting_direct(op, seed=0)
     assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
     assert sd.path == "full"
@@ -314,19 +320,27 @@ def test_ratio_csv_roundtrip(tmp_path):
     assert header.split(",") == RATIO_CSV_COLUMNS
 
 
-def test_splitting_carries_count_certificate():
+@pytest.fixture(scope="module")
+def dense_b005():
+    """(small_double_well(0.05), its four lowest levels by a dense
+    eigvalsh)."""
     op = small_double_well(0.05)
+    return op, la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 3])
+
+
+def test_splitting_carries_count_certificate(dense_b005):
+    op, w = dense_b005
     with pytest.warns(UserWarning, match="cluster gap"):
         sd = splitting_direct(op, seed=0)
     assert sd.path == "parity"
-    w = la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 3])
     np.testing.assert_allclose(sd.energies, w[:3], rtol=1e-9)
     # one shift per sector, no level of its sector below it (E0 is even,
     # E1 odd), and two levels below (E1 + E2)/2
-    assert len(sd.shifts) == 2 and sd.shift_counts == [0, 0]
-    assert sd.shifts[0] < w[0] and sd.shifts[1] < w[1]
+    assert len(sd.spectral.shifts) == 2
+    assert sd.spectral.shifts[0] < w[0] and sd.spectral.shifts[1] < w[1]
     assert sd.pair_count == 2
-    assert sd.spectral.shifts == sd.shifts
+    assert [count_below(B, s) for B, s in
+            zip(parity_blocks(op.matrix), sd.spectral.shifts)] == [0, 0]
 
 
 def test_splitting_raises_when_a_count_disagrees(monkeypatch):
@@ -396,3 +410,113 @@ def test_parity_path_makes_one_near_eigsh_call_per_sector(monkeypatch):
     assert [(n, k) for n, k, _, _ in calls] == [(sw.dimension // 2, 1)]
     assert calls[0][2] > calls[0][3]
     assert res.shifts == [calls[0][2]]
+
+
+def test_pair_only_splitting_matches_the_default():
+    op = small_double_well(0.05)
+    with pytest.warns(UserWarning, match="cluster gap"):
+        ref = splitting_direct(op, seed=0)
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0, with_e2=False)
+    assert sd.path == "parity"
+    assert len(sd.energies) == 2
+    np.testing.assert_allclose(sd.energies, ref.energies[:2], rtol=1e-12)
+    assert abs(sd.delta - ref.delta) <= 1e-12 * ref.delta
+    assert max(full_residuals(op, sd.spectral)) <= 1e-8
+
+
+def test_pair_only_path_makes_one_k1_eigsh_call_per_sector(monkeypatch):
+    calls = []
+    eigsh = spla.eigsh
+
+    def counting_eigsh(A, *args, **kwargs):
+        calls.append((A.shape[0], kwargs["k"]))
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting_eigsh)
+    op = small_double_well(0.05)
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0, with_e2=False)
+    assert sd.path == "parity"
+    assert calls == [(op.dimension // 2, 1)] * 2
+
+
+def test_pair_only_splitting_within_one_sector_takes_full_path():
+    # the k = 1 sector solves give the even and the odd ground level, and the
+    # count at E1 finds both lowest levels even
+    op = pair_in_one_sector()
+    with pytest.warns(UserWarning, match=r"cluster gap .* not \(2,\)"):
+        sd = splitting_direct(op, seed=0, with_e2=False)
+    assert sd.path == "full" and len(sd.energies) == 2
+    assert sd.pair_counts == (2,)
+    assert_levels_match(sd, full_operator_levels(op))
+    assert max(full_residuals(op, sd.spectral)) <= 1e-8
+
+
+def test_pair_only_splitting_raises_when_a_count_disagrees(monkeypatch):
+    # the parity path's counts disagree, so the full path is tried, and its
+    # count is final
+    op = small_double_well(0.05)
+    monkeypatch.setattr(tunneling, "count_below", lambda M, sigma: 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EigensolverError,
+                           match=r"3 level\(s\) lie below E1 .* put 2"):
+            splitting_direct(op, seed=0, with_e2=False)
+
+
+def test_pair_only_splitting_certifies_a_pair_it_cannot_separate(dense_b005):
+    # at this size E2 crowds the pair: the counts at E1 + 2 Delta0 find a
+    # second level per sector, and the pair is certified at E1 alone
+    op, w = dense_b005
+    assert w[2] - w[1] <= tunneling.SEPARATION_FACTOR * (w[1] - w[0])
+    with pytest.warns(UserWarning,
+                      match=r"cluster gap .* are \(2, 2\), not \(1, 1\)"):
+        sd = splitting_direct(op, seed=0, with_e2=False)
+    assert not sd.cluster_separated
+    assert sd.pair_counts == (1, 1) and sd.pair_count == 2
+    assert sd.separation_counts == (2, 2)
+    np.testing.assert_allclose(sd.energies, w[:2], rtol=1e-9)
+
+
+def test_pair_only_splitting_separates_an_isolated_pair():
+    # an even and an odd two-site well on the same sites, -depth * e e^T
+    # with e = (delta_k +- delta_{N-1-k}) / sqrt(2) and depths 1e-3 apart,
+    # make the pair one even and one odd level with E2 far above it
+    op = small_double_well(0.05)
+    N = op.dimension
+    H = op.matrix.tolil()
+    k = N // 3
+    for sign, depth in ((1, 60.0), (-1, 60.0 - 1e-3)):
+        for i, j, s in ((k, k, 1), (N - 1 - k, N - 1 - k, 1),
+                        (k, N - 1 - k, sign), (N - 1 - k, k, sign)):
+            H[i, j] -= s * depth / 2
+    op = SparseHermitianOp(matrix=H.tocsr(), grid=op.grid, params=op.params,
+                           n_wells=op.n_wells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sd = splitting_direct(op, seed=0, with_e2=False)
+    assert sd.path == "parity" and sd.cluster_separated
+    assert sd.separation_counts == sd.pair_counts == (1, 1)
+    ref = full_operator_levels(op)
+    e0, e1, e2 = ref.eigenvalues
+    assert e2 - e1 > tunneling.SEPARATION_FACTOR * (e1 - e0)
+    assert_levels_match(sd, ref)
+
+
+def test_ratio_point_gives_the_default_splitting():
+    # the sweep point's pair-only solve from the single well's level gives
+    # the Delta0 of the default solve on the same double well (the
+    # geometry of test_cli's test_splitting_matches_the_sweep_point)
+    params = ModelParams(lam=8.0, b=0.05, d1=0.45, a=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # cluster-gap warnings
+        row = ratio_point(params, 96)
+        grid, params = tunneling.lattice_grid(params, 96)
+        spec = WellSpec.radial(params.a)
+        op = build_operator(params, grid, wells=[(spec, (-params.d1, 0.0)),
+                                                 (spec, (params.d1, 0.0))])
+        sd = splitting_direct(op)
+    assert abs(row.delta - sd.delta) <= 1e-12 * sd.delta
+    assert row.E0 == pytest.approx(sd.energies[0], rel=1e-12)
+    assert row.E1 == pytest.approx(sd.energies[1], rel=1e-12)
