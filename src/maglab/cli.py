@@ -241,7 +241,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     path = os.path.join(out, "spectrum.json")
     bundle = {"eigenvalues": res.eigenvalues, "residuals": res.residuals,
               "orthogonality_defect": float(res.orthogonality_defect),
-              "metadata": {"lam": float(np.real(params.lam)), "b": params.b,
+              "metadata": {"lam": params.lam, "b": params.b,
                            "d1": params.d1, "a": params.a, "grid_n": grid.n,
                            "grid_L": grid.half_extent}}
     with open(path, "w") as fh:

@@ -25,22 +25,25 @@ import scipy.sparse as sp
 # parameter containers
 # ---------------------------------------------------------------------------
 
+# two wells at +-d1 of radius a must satisfy 2 d1 > SEPARATION_CONSTANT * a
+SEPARATION_CONSTANT = 2.0
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration shared by all solvers.
+    """Physical configuration shared by all solvers; lam is real."""
 
-    lam may be complex where an operation explicitly supports it; the lattice
-    builder requires real lam.
-    """
-
-    lam: complex
+    lam: float
     b: float
     d1: float
     a: float
     hessian: np.ndarray = field(default_factory=lambda: np.eye(2))
-    separation_constant: float = 2.0   # required: 2*d1 > separation_constant*a
 
     def __post_init__(self):
+        lam = complex(self.lam)
+        if lam.imag != 0:
+            raise ValueError("lam must be real, got %s" % (self.lam,))
+        object.__setattr__(self, "lam", lam.real)
         H = np.asarray(self.hessian, dtype=float)
         if H.shape != (2, 2) or not np.allclose(H, H.T, atol=1e-12):
             raise ValueError("hessian must be a symmetric 2x2 matrix")
@@ -54,15 +57,13 @@ class ModelParams:
             raise ValueError("d1 must be nonnegative")
         if self.b < 0:
             raise ValueError("b must be nonnegative")
-        if self.separation_constant < 2:
-            raise ValueError("separation constant must be >= 2")
 
     @property
     def min_hessian_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.hessian)[0])
 
     def separation_ok(self) -> bool:
-        return 2 * self.d1 > self.separation_constant * self.a
+        return 2 * self.d1 > SEPARATION_CONSTANT * self.a
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,8 @@ def choose_grid(params: ModelParams, n: int, double_well: bool = True,
                 pad: float = 0.0) -> Grid2D:
     """Grid whose extent follows the decay rule
     L >= d1 + a + 6/sqrt(lam*min_eig(hessian)), optionally padded."""
-    lam = float(np.real(params.lam))
     L = (params.d1 if double_well else 0.0) + params.a \
-        + 6.0 / np.sqrt(lam * params.min_hessian_eig) + pad
+        + 6.0 / np.sqrt(params.lam * params.min_hessian_eig) + pad
     return Grid2D(half_extent=L, n=n)
 
 
@@ -249,9 +249,7 @@ def build_operator(params: ModelParams, grid: Grid2D,
     exp(i h A_j(midpoint)) with A = (b lam / 2) (x - gauge_origin)_perp.
     h * lam must not exceed FLUX_PER_PLAQUETTE_BOUND.
     """
-    if np.imag(params.lam) != 0:
-        raise ValueError("lattice builder requires real lam")
-    lam = float(np.real(params.lam))
+    lam = params.lam
     if len(wells) > 2:
         raise ValueError("at most two wells")
     h = grid.spacing
@@ -262,7 +260,7 @@ def build_operator(params: ModelParams, grid: Grid2D,
     if len(wells) == 2:
         if not params.separation_ok():
             raise ValueError("well separation 2*d1 = %g does not exceed C*a = %g"
-                             % (2 * params.d1, params.separation_constant * params.a))
+                             % (2 * params.d1, SEPARATION_CONSTANT * params.a))
         Lmin = params.d1 + params.a + 6.0 / np.sqrt(lam * params.min_hessian_eig)
         if grid.half_extent < Lmin - 1e-12:
             raise ValueError("grid half extent %g below the decay rule minimum %g"

@@ -1,12 +1,15 @@
 """Low eigenpairs of the lattice Hamiltonians and the Riesz spectral projector.
 
-The eigensolver is ARPACK (Lanczos) in shift-invert mode with a sparse LU, on
-every grid: `_lowest_near` is the one path to it.  Operators that commute
-with the grid reflection x -> -x split into half-size even and odd blocks
-(`parity_defect`, `parity_blocks`, `unfold_parity`).  The Riesz projector is
-the trapezoid quadrature of (1/2pi i) * contour integral of the resolvent,
-with one complex sparse LU per contour node (each factorization serves a
-conjugate pair of nodes).
+The eigensolver is ARPACK in shift-invert mode with a sparse LU, on every grid:
+`_lowest_near` is the one path to it.  Every lattice matrix is complex128, even
+at b = 0, and scipy's `eigsh` hands a complex matrix to `eigs`, so each pass is
+ARPACK's Arnoldi iteration (znaupd), not Lanczos, with scipy's default
+ncv = max(2k + 1, 20) basis vectors.  Operators that commute with the grid
+reflection x -> -x split into half-size even and odd blocks (`parity_defect`,
+`parity_blocks`, `unfold_parity`).  The Riesz projector is the trapezoid
+quadrature of (1/2pi i) * contour integral of the resolvent, with one complex
+sparse LU per contour node (each factorization serves a conjugate pair of
+nodes).
 
 Every sparse LU is SuperLU with the minimum-degree ordering of A^T + A.  The
 lattice operators are structurally symmetric 5-point matrices, where that
@@ -230,15 +233,15 @@ def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
     """k smallest eigenvalues with residual-verified eigenvectors, by one
     shift-invert pass (`_lowest_near`).
 
-    Deterministic for a given seed (the seed fixes the Lanczos starting
-    vector).  The shift search begins at start, by default one below the
-    Gershgorin bound of the matrix, which needs no count.  A start inside
-    the spectrum is lowered until the inertia count on the LU that serves
-    the solve (`count_below`) puts no eigenvalue below it, so the k values
-    nearest the shift are the k lowest.  A shift close to the low cluster
-    greatly reduces the absolute eigenvalue error (~eps * |E - sigma|),
-    which matters when the quantity of interest is a tiny eigenvalue
-    difference.
+    Deterministic for a given seed (the seed fixes ARPACK's starting vector;
+    the iteration is Arnoldi on the complex lattice matrices, see the module
+    docstring).  The shift search begins at start, by default one below the
+    Gershgorin bound of the matrix, which needs no count.  A start inside the
+    spectrum is lowered until the inertia count on the LU that serves the solve
+    (`count_below`) puts no eigenvalue below it, so the k values nearest the
+    shift are the k lowest.  A shift close to the low cluster greatly reduces
+    the absolute eigenvalue error (~eps * |E - sigma|), which matters when the
+    quantity of interest is a tiny eigenvalue difference.
     """
     M = op.matrix
     if k >= M.shape[0]:

@@ -7,15 +7,16 @@ regauged so its overlap with the closed-form oscillator ground state is
 positive.  Delta0 = E1 - E0 of the double-well operator; when the operator
 commutes with x -> -x (symmetric wells, symmetric gauge) E0 and E1 are the
 ground levels of its even and odd parts, and `splitting_direct` solves the two
-half-size parity blocks instead of the full lattice (`_sector_levels`).
-Each eigen-solve is one shift-invert pass at a near shift under which an
-inertia count finds no level (`spectral._lowest_near`), and one more count
-per block proves the levels the lowest (`_certify`); a sweep point
-(`ratio_point`) solves for E0, E1 alone, and counts prove the pair isolated
-without computing E2.  The quasimodes are Riesz projections of magnetically
-translated, cut-off oscillator ground states; their 2x2 Gramian G and energy
-matrix M reproduce the splitting through sqrt(sigma)/|det G| with
-sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
+half-size parity blocks instead of the full lattice.  Every level reported is
+solved and proven by one routine, `_certified_levels`: one shift-invert pass
+per block at a near shift under which an inertia count finds no level
+(`spectral._lowest_near`), then counts per block at the caller's cuts; a cut
+certifies the levels when its counts are the number of computed levels of each
+block below it.  A sweep point (`ratio_point`) solves for E0, E1 alone, and
+counts prove the pair isolated without computing E2.  The quasimodes are Riesz
+projections of magnetically translated, cut-off oscillator ground states; their
+2x2 Gramian G and energy matrix M reproduce the splitting through
+sqrt(sigma)/|det G| with sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
 from .mho_kernels import MHOParams, ground_state
 from .spectral import (Contour, EigensolverError, SpectralResult,
                        _lowest_near, _verified_result, count_below,
-                       lowest_eigs, parity_blocks, parity_defect,
-                       riesz_project_with_rank, unfold_parity)
+                       parity_blocks, parity_defect, riesz_project_with_rank,
+                       unfold_parity)
 
 
 class GroundStateError(ValueError):
@@ -66,8 +67,7 @@ def mho_reference(params: ModelParams, spec: Optional[WellSpec] = None) -> MHOPa
                          "oscillator reference (got %s)" % (Hw,))
     k1 = float(np.sqrt(Hw[0, 0] / 2.0))
     k2 = float(np.sqrt(Hw[1, 1] / 2.0))
-    return MHOParams(k1=k1, k2=k2, B=-params.b / 2.0,
-                     lam=float(np.real(params.lam)))
+    return MHOParams(k1=k1, k2=k2, B=-params.b / 2.0, lam=params.lam)
 
 
 def _c4_step(t: np.ndarray) -> np.ndarray:
@@ -104,9 +104,8 @@ def lattice_grid(params: ModelParams, n: int):
     below the builder's bound 0.5; then d1 is rounded to a multiple of h.
     """
     grid = choose_grid(params, n, double_well=True, pad=params.d1)
-    lam = float(np.real(params.lam))
-    if grid.spacing * lam > 0.45:
-        n = int(np.ceil(2 * grid.half_extent * lam / 0.45)) + 1
+    if grid.spacing * params.lam > 0.45:
+        n = int(np.ceil(2 * grid.half_extent * params.lam / 0.45)) + 1
         n += n % 2
         grid = choose_grid(params, n, double_well=True, pad=params.d1)
     d1s = float(grid.snap([params.d1, 0.0])[0])
@@ -120,8 +119,7 @@ def _oscillator_level(params: ModelParams,
     starts.  It is only a hint (at lam = 20, a = 0.1 it lies above E0 and E1
     of the double well, at lam = 45 far below them): the inertia count
     lowers a start inside the spectrum until none lies below it."""
-    return (-float(np.real(params.lam)) ** 2
-            + float(np.real(mho_reference(params, spec).E0)))
+    return -params.lam ** 2 + float(np.real(mho_reference(params, spec).E0))
 
 
 def single_well_ground(params: ModelParams, n: int,
@@ -129,29 +127,29 @@ def single_well_ground(params: ModelParams, n: int,
     """(SpectralResult, op) for the well at the origin, on the grid of
     `lattice_grid`; op.params carries the snapped d1.
 
-    The operator commutes with x -> -x, and its ground level comes from the
-    even block alone (`_sector_levels` with k = (1, 0)), starting from the
-    oscillator level.  The inertia counts prove it the lowest level of the
-    whole operator: at E0 + CUT_RTOL * max(|E0|, 1) the even block has one
-    level below, the odd block none; otherwise an EigensolverError names
-    both counts.
+    The operator commutes with x -> -x.  Its ground level is the even
+    block's lowest (`_certified_levels` with k = (1, 0)), searched from the
+    oscillator level, and the counts at E0 + CUT_RTOL * max(|E0|, 1) prove it
+    the lowest of the whole operator: one even level below, no odd one;
+    otherwise an EigensolverError names both counts.
     """
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid, params = lattice_grid(params, n)
     op = build_operator(params, grid, wells=[(spec, (0.0, 0.0))])
-    symmetric, defect = _commutes_with_parity(op.matrix)
-    if not symmetric:
+    blocks, defect = _parity_sectors(op.matrix)
+    if blocks is None:
         raise ValueError("the operator does not commute with x -> -x "
                          "(||H - PHP||_max = %.3g)" % defect)
-    blocks = parity_blocks(op.matrix)
-    vals, _, vecs, shifts = _sector_levels(
-        blocks, (1, 0), _oscillator_level(params, spec), seed)
-    cut = vals[0] + CUT_RTOL * max(abs(vals[0]), 1.0)
-    _certify(blocks, cut, (1, 0),
-             "even ground level %.17g is not the lowest: {0} even and {1} "
-             "odd level(s) lie below %.17g, where it puts 1 and 0"
-             % (vals[0], cut))
-    return _verified_result(op, vals, vecs, shifts=shifts), op
+    res, taken, certified = _certified_levels(
+        op, blocks, (1, 0), 1, _oscillator_level(params, spec), seed,
+        lambda e: [e[0] + CUT_RTOL * max(abs(e[0]), 1.0)])
+    if not certified:
+        (cut, (even, odd)), = taken
+        raise EigensolverError(
+            "even ground level %.17g is not the lowest: %d even and %d odd "
+            "level(s) lie below %.17g, where it puts 1 and 0"
+            % (res.eigenvalues[0], even, odd, cut))
+    return res, op
 
 
 @dataclass
@@ -201,8 +199,7 @@ def hopping_coefficient(params: ModelParams, phi0: Field,
     if steps == 0:
         raise ValueError("d1 = %g is below one grid spacing" % params.d1)
 
-    lam = float(np.real(params.lam))
-    blam = params.b * lam
+    blam = params.b * params.lam
     X1, X2 = grid.meshes()
 
     # phase convention: <psi0_mho, phi0> real positive
@@ -219,7 +216,7 @@ def hopping_coefficient(params: ModelParams, phi0: Field,
 
     def quad(stride: int) -> complex:
         sub = integrand[::stride, ::stride]
-        return complex(lam ** 2 * (h * stride) ** 2 * np.sum(sub))
+        return complex(params.lam ** 2 * (h * stride) ** 2 * np.sum(sub))
 
     rho = quad(1)
     rho_coarse = quad(2)
@@ -266,8 +263,7 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     grid = op.grid
     pref = mho_reference(params, spec)
 
-    lam = float(np.real(params.lam))
-    blam = params.b * lam
+    blam = params.b * params.lam
     d1s = float(grid.snap([params.d1, 0.0])[0])
     chi = cutoff_field(grid, params.a)
     base = Field(grid, chi.values * mho_ground_field(pref, grid).values)
@@ -338,8 +334,7 @@ def gram_and_m(psi_minus: Field, psi_plus: Field,
         for j in range(2):
             G[i, j] = pair[i].inner(pair[j])
             M[i, j] = pair[i].inner(images[j])
-    lam = float(np.real(op.params.lam))
-    budget = GRAM_BUDGET_CONSTANT / np.sqrt(lam)
+    budget = GRAM_BUDGET_CONSTANT / np.sqrt(op.params.lam)
     red = reduction_from_matrices(G, M, gram_budget=budget)
     if red.gram_defect > budget:
         warnings.warn("Gramian defect %.3g exceeds the O(lam^{-1/2}) budget "
@@ -364,10 +359,13 @@ CUT_RTOL = 1e-8
 SEPARATION_FACTOR = 2.0
 
 
-def _commutes_with_parity(M):
-    """(whether M commutes with x -> -x up to rounding, ||M - PMP||_max)."""
+def _parity_sectors(M):
+    """(the even and odd blocks of M (`parity_blocks`), or None when M does
+    not commute with x -> -x up to rounding; ||M - PMP||_max)."""
     defect = parity_defect(M)
-    return defect <= PARITY_RTOL * np.max(np.abs(M.data)), defect
+    if defect > PARITY_RTOL * np.max(np.abs(M.data)):
+        return None, defect
+    return parity_blocks(M), defect
 
 
 @dataclass
@@ -400,149 +398,127 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
     spectrum checked; warns when the 2-cluster is not cleanly separated
     (E2 - E1 <= SEPARATION_FACTOR * Delta0).
 
-    When H commutes with the grid reflection P (x -> -x), which holds for the
-    symmetric double well in the symmetric gauge, E0 and E1 are the ground
-    levels of its even and odd parts.  The "parity" path then solves the two
-    half-size sector blocks, one shift-invert pass each (`_sector_levels`),
-    k = 2 per sector with E2 (the smaller second in-sector level), k = 1
-    without.  The eigenvectors are unfolded to full-size fields and their
-    residuals measured against the full H.
+    The levels are solved and proven by `_certified_levels`: k = 2 per
+    parity sector with E2 (the smaller second in-sector level), k = 1
+    without, at the cuts
+    - with E2, (E1 + E2)/2.  Its counts prove E0, E1 the two lowest levels
+      and no other level below the cut; a level in [(E1 + E2)/2, E2) would
+      escape them, so E2 is the third level only if none lies there;
+    - without E2, first E1 + SEPARATION_FACTOR * Delta0, whose counts also
+      prove the pair separated (E2 - E1 > SEPARATION_FACTOR * Delta0) with
+      no third solve; then E1 + CUT_RTOL * max(|E1|, 1), where the pair is
+      certified and called not separated.
 
-    The "full" path, taken for asymmetric operators (a shifted gauge origin,
-    unequal or off-axis wells) and for a pair lying within one sector, solves
-    H itself by one k = 3 pass (k = 2 without E2, `spectral.lowest_eigs`).
+    One rule picks the path.  The "parity" path stands when H commutes with
+    the grid reflection P (x -> -x), which holds for the symmetric double
+    well in the symmetric gauge, and a cut certified one level per sector:
+    E0 and E1 are then the ground levels of the even and odd blocks.
+    Otherwise (a shifted gauge origin, unequal or off-axis wells, a pair
+    within one sector, a count that disagrees) the "full" path solves the
+    k + 1 lowest levels of H itself, and a count that disagrees there
+    raises EigensolverError.
 
     The shift search starts from start, by default the oscillator level; a
     level already certified nearby (`ratio_point` passes the single well's
     ground minus its hopping estimate 2|rho0| of the splitting) saves the
-    LUs of rejected shifts.
-
-    Either way the levels are proven, not presumed: no level lies below any
-    shift, and the inertia counts (`count_below`) are one per sector, or two
-    of H, below a cut above E1 (`_certify`):
-    - with E2, the cut (E1 + E2)/2, which also proves E2 the third level;
-    - without E2, first E1 + SEPARATION_FACTOR * Delta0.  There those counts
-      prove the pair the two lowest levels and separated (E2 - E1 >
-      SEPARATION_FACTOR * Delta0) with no third solve.  Otherwise the pair
-      is certified at E1 + CUT_RTOL * max(|E1|, 1) and called not
-      separated; on the parity path a count other than one per sector there
-      means the pair lies within one sector, and the full path is taken.
-    A count that disagrees with the computed levels on the path that makes
-    it final raises EigensolverError.  The near shifts keep the absolute
-    eigenvalue error ~eps * |E - sigma| small against the splitting, which
-    can be many orders smaller than E0.
+    LUs of rejected shifts.  The near shifts keep the absolute eigenvalue
+    error ~eps * |E - sigma| small against the splitting, which can be many
+    orders smaller than E0.
     """
     M = op.matrix
     start = _oscillator_level(op.params) if start is None else start
-    k = 3 if with_e2 else 2
-    symmetric, defect = _commutes_with_parity(M)
-    certificate = None
-    if symmetric:
-        blocks = parity_blocks(M)
-        vals, ranks, vecs, shifts = _sector_levels(blocks, (k - 1, k - 1),
-                                                   start, seed)
-        if ranks[0] == ranks[1] == 0:        # one ground level per sector
-            path = "parity"
-            res = _verified_result(op, vals[:k], vecs[:, :k], shifts=shifts)
-            certificate = _pair_certificate(blocks, res.eigenvalues, (1, 1),
-                                            final=with_e2)
-    if certificate is None:
+    k = 2 if with_e2 else 1
+
+    def cuts(e):
+        if with_e2:
+            return [0.5 * (e[1] + e[2])]
+        return [e[1] + SEPARATION_FACTOR * max(e[1] - e[0], 1e-300),
+                e[1] + CUT_RTOL * max(abs(e[1]), 1.0)]
+
+    blocks, defect = _parity_sectors(M)
+    path, certified = "parity", False
+    if blocks is not None:
+        res, taken, certified = _certified_levels(op, blocks, (k, k), k + 1,
+                                                  start, seed, cuts)
+        certified = certified and taken[-1][1] == (1, 1)
+    if not certified:
         path = "full"
-        res = lowest_eigs(op, k, seed, start=start)
-        certificate = _pair_certificate((M,), res.eigenvalues, (2,),
-                                        final=True)
-    counts, separation, separated = certificate
-    delta = res.eigenvalues[1] - res.eigenvalues[0]
-    return SplittingResult(delta=float(delta), energies=list(res.eigenvalues),
+        res, taken, certified = _certified_levels(op, (M,), (k + 1,), k + 1,
+                                                  start, seed, cuts)
+    e = res.eigenvalues
+    delta = e[1] - e[0]
+    cut, counts = taken[-1]
+    if not certified:
+        raise EigensolverError(
+            "%d level(s) lie below %s = %.17g, where the computed levels "
+            "%s = %s put 2"
+            % (sum(counts), "(E1 + E2)/2" if with_e2 else
+               "E1 + %g * max(|E1|, 1)" % CUT_RTOL, cut,
+               ", ".join("E%d" % j for j in range(len(e))),
+               ", ".join("%.17g" % x for x in e)))
+    if with_e2:
+        separation = None
+        separated = (e[2] - e[1]) > SEPARATION_FACTOR * max(delta, 1e-300)
+        if not separated:
+            warnings.warn("cluster gap E2-E1 = %.3g does not dominate the "
+                          "splitting %.3g" % (e[2] - e[1], delta))
+    else:
+        (gap_cut, separation), separated = taken[0], len(taken) == 1
+        if not separated:
+            warnings.warn("cluster gap E2-E1 does not dominate the splitting "
+                          "%.3g: the counts below E1 + %g * Delta0 = %.17g "
+                          "are %s, not %s" % (delta, SEPARATION_FACTOR,
+                                              gap_cut, separation, counts))
+    return SplittingResult(delta=float(delta), energies=list(e),
                            spectral=res, cluster_separated=separated,
                            path=path, parity_defect=defect,
                            pair_counts=counts, separation_counts=separation)
 
 
-def _pair_certificate(blocks, vals, expected: tuple, final: bool):
-    """(pair counts, separation counts, separated): the counts of the blocks
-    that certify the computed levels vals = E0, E1[, E2] as in
-    `splitting_direct`; expected is the number of pair levels in each block.
+def _certified_levels(op: SparseHermitianOp, blocks, ks: Sequence[int],
+                      keep: int, start: float, seed: int, cuts):
+    """(SpectralResult, taken, certified): the lowest levels of op, proven
+    by inertia counts (spectrum slicing, Parlett, The Symmetric Eigenvalue
+    Problem, ch. 3).
 
-    Warns when the pair is not separated.  Pair counts other than expected
-    raise EigensolverError, except without E2 and not final, where the
-    result is None and nothing is warned.
-    """
-    e0, e1 = vals[0], vals[1]
-    delta = e1 - e0
-    if len(vals) == 3:
-        e2 = vals[2]
-        cut = 0.5 * (e1 + e2)
-        counts = _certify(blocks, cut, expected,
-                          "{total} level(s) lie below (E1 + E2)/2 = %.17g, "
-                          "where the computed levels E0, E1, E2 = %.17g, "
-                          "%.17g, %.17g put 2" % (cut, e0, e1, e2))
-        separated = (e2 - e1) > SEPARATION_FACTOR * max(delta, 1e-300)
-        if not separated:
-            warnings.warn("cluster gap E2-E1 = %.3g does not dominate the "
-                          "splitting %.3g" % (e2 - e1, delta))
-        return counts, None, separated
-    gap_cut = e1 + SEPARATION_FACTOR * max(delta, 1e-300)
-    separation = _counts(blocks, gap_cut)
-    if separation == expected:
-        return separation, separation, True
-    cut = e1 + CUT_RTOL * max(abs(e1), 1.0)
-    counts = _counts(blocks, cut)
-    if counts != expected:
-        if not final:
-            return None
-        raise EigensolverError(
-            "%d level(s) lie below E1 + %g * max(|E1|, 1) = %.17g, where "
-            "the computed levels E0, E1 = %.17g, %.17g put 2"
-            % (sum(counts), CUT_RTOL, cut, e0, e1))
-    warnings.warn("cluster gap E2-E1 does not dominate the splitting %.3g: "
-                  "the counts below E1 + %g * Delta0 = %.17g are %s, not %s"
-                  % (delta, SEPARATION_FACTOR, gap_cut, separation,
-                     expected))
-    return counts, separation, False
-
-
-def _sector_levels(blocks, ks: Sequence[int], start: float, seed: int):
-    """(vals, ranks, vecs, shifts): the ks[0] lowest levels of the even
-    block and the ks[1] lowest of the odd block, ascending, with each
-    level's rank within its sector and its full-size field (`unfold_parity`)
-    as a column of vecs; one shift-invert pass (`_lowest_near`) per sector
-    with k > 0, whose shift is in shifts.
-
-    The even sector starts from start and the odd sector from the even
-    sector's shift, so that both are normally solved at one shift: their
-    rounding errors are then correlated and cancel in E1 - E0 (at lam = 45,
-    b = 0.05, n = 320, Delta0 moved by 8e-9 relative between two Lanczos
-    seeds with the odd shift at the even ground, and by 3e-10 with one
-    common shift).
+    blocks are the even and odd parity blocks of op.matrix
+    (`parity_blocks`), or (op.matrix,).  In order:
+    1. the ks[b] lowest levels of block b by one shift-invert pass
+       (`_lowest_near`) each, the first from start and each next from the
+       previous block's shift, so that both sectors are normally solved at
+       one shift: their rounding errors are then correlated and cancel in
+       E1 - E0 (at lam = 45, b = 0.05, n = 320, Delta0 moved by 8e-9
+       relative between two ARPACK seeds with the odd shift at the even
+       ground, and by 3e-10 with one common shift);
+    2. the lowest keep of all solved levels, ascending, as full-size fields
+       (`unfold_parity`) verified against op (`_verified_result`);
+    3. the counts of the blocks (`count_below`) at each of cuts(levels),
+       the ascending solved levels, in turn, kept with their cut in taken;
+    4. up to the first cut where the counts are the number of solved levels
+       of each block below it: then no level below the cut was missed, and
+       certified is True.
     """
     sigma, levels, shifts = start, [], []
-    for B, sign, k in zip(blocks, (1, -1), ks):
+    for b, (B, k) in enumerate(zip(blocks, ks)):
         if k == 0:
             continue
         vals, vecs, sigma = _lowest_near(B, k, sigma, seed)
         shifts.append(sigma)
-        levels += [(vals[j], j, unfold_parity(vecs[:, j], sign))
-                   for j in range(k)]
+        levels += [(vals[j], b, vecs[:, j]) for j in range(k)]
     levels.sort(key=lambda lv: lv[0])
-    vals, ranks, vecs = zip(*levels)
-    return np.array(vals), list(ranks), np.stack(vecs, axis=1), shifts
-
-
-def _counts(blocks, cut: float) -> tuple:
-    """The inertia counts of the blocks at cut (`count_below`)."""
-    return tuple(count_below(B, cut) for B in blocks)
-
-
-def _certify(blocks, cut: float, expected: tuple, message: str) -> tuple:
-    """The inertia counts of the blocks at cut, which must be `expected`,
-    the number of computed levels of each block below cut: then no level
-    below cut was missed.  Otherwise raises EigensolverError with message,
-    formatted with the counts in block order and their sum as `total`."""
-    counts = _counts(blocks, cut)
-    if counts != expected:
-        raise EigensolverError(message.format(*counts, total=sum(counts)))
-    return counts
+    vals = np.array([lv[0] for lv in levels])
+    fields = [v if len(blocks) == 1 else unfold_parity(v, (1, -1)[b])
+              for _, b, v in levels[:keep]]
+    res = _verified_result(op, vals[:keep], np.stack(fields, axis=1),
+                           shifts=shifts)
+    taken = []
+    for cut in cuts(vals):
+        counts = tuple(count_below(B, cut) for B in blocks)
+        taken.append((cut, counts))
+        if counts == tuple(sum(1 for e, o, _ in levels if o == b and e < cut)
+                           for b in range(len(blocks))):
+            return res, taken, True
+    return res, taken, False
 
 
 RATIO_CSV_COLUMNS = ["lambda", "b", "d1", "E0", "E1", "Delta", "abs_rho",
@@ -593,7 +569,7 @@ def ratio_point(params: ModelParams, n: int,
                              with_e2=False)
 
     ratio = split.delta / (2.0 * hop.abs_rho)
-    return RatioRow(lam=float(np.real(params.lam)), b=params.b, d1=d1s,
+    return RatioRow(lam=params.lam, b=params.b, d1=d1s,
                     E0=split.energies[0], E1=split.energies[1],
                     delta=split.delta, abs_rho=hop.abs_rho, ratio=ratio,
                     quad_err=hop.quadrature_error, grid_n=grid.n,

@@ -103,6 +103,13 @@ def test_separation_violation_rejected():
                        wells=[(spec, (-d1s, 0.0)), (spec, (d1s, 0.0))])
 
 
+def test_model_params_lam_is_real():
+    with pytest.raises(ValueError, match="lam must be real"):
+        ModelParams(lam=20 + 1j, b=0.05, d1=0.3, a=0.1)
+    params = ModelParams(lam=20 + 0j, b=0.05, d1=0.3, a=0.1)
+    assert params.lam == 20.0 and isinstance(params.lam, float)
+
+
 def test_well_shape_and_range():
     spec = WellSpec.radial(0.2, p=4)
     x = np.linspace(-0.5, 0.5, 101)

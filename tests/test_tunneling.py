@@ -349,8 +349,49 @@ def test_splitting_raises_when_a_count_disagrees(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EigensolverError,
-                           match=r"6 level\(s\) lie below .* put 2"):
+                           match=r"3 level\(s\) lie below .* put 2"):
             splitting_direct(op, seed=0)
+
+
+def test_splitting_falls_back_when_only_the_sector_counts_disagree(
+        monkeypatch):
+    # the sector counts are off by one, H's own count is right: the parity
+    # path is not certified, and the full path's count decides
+    op = small_double_well(0.05)
+    count = tunneling.count_below
+
+    def wrong_on_blocks(M, sigma):
+        return count(M, sigma) + (M.shape[0] < op.dimension)
+
+    monkeypatch.setattr(tunneling, "count_below", wrong_on_blocks)
+    with pytest.warns(UserWarning, match="cluster gap"):
+        sd = splitting_direct(op, seed=0)
+    assert sd.path == "full" and sd.pair_counts == (2,)
+    ref = full_operator_levels(op)
+    assert sd.energies == ref.eigenvalues
+    assert sd.spectral.shifts == ref.shifts
+
+
+def test_certified_levels_stop_at_the_first_certifying_cut(monkeypatch):
+    # at this size E2 crowds the pair: E1 + 2 Delta0 has two levels per
+    # sector below it, E1 + 1e-8 one; the third cut is never counted
+    op = small_double_well(0.05)
+    blocks = parity_blocks(op.matrix)
+    counted = []
+    count = tunneling.count_below
+
+    def counting(M, sigma):
+        counted.append(sigma)
+        return count(M, sigma)
+
+    monkeypatch.setattr(tunneling, "count_below", counting)
+    res, taken, certified = tunneling._certified_levels(
+        op, blocks, (1, 1), 2, _oscillator_level(op.params), 0,
+        lambda e: [e[1] + 2 * (e[1] - e[0]), e[1] + 1e-8, e[1] + 1.0])
+    assert certified
+    assert [counts for _, counts in taken] == [(2, 2), (1, 1)]
+    assert len(counted) == 4
+    assert len(res.eigenvalues) == 2 and len(res.shifts) == 2
 
 
 def test_single_well_refuses_an_odd_ground_level(monkeypatch):
