@@ -15,8 +15,7 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
                          WellSpec, build_operator, build_well, choose_grid,
                          field_from_flat, magnetic_translate, plaquette_phases,
                          well_values)
-from .spectral import (Contour, SpectralResult, lowest_eigs,
-                       projector_rank_estimate, riesz_project)
+from .spectral import Contour, SpectralResult, lowest_eigs, riesz_project
 from .mho_kernels import (MHOParams, RegionBounds, d_bound, discretize_mho,
                           dual_ground_state, ground_state,
                           ground_state_energy, heat_kernel, mho_params,

@@ -73,16 +73,13 @@ class BlaschkeZeroSet:
     zeros: List[complex]
     phases: List[float]
     beta: float
-    truncation_tail: float = 0.0   # sum of Re a over any dropped tail zeros
 
     @classmethod
     def from_zeros(cls, zeros: Sequence[complex],
-                   beta: Optional[float] = None,
-                   truncation_tail: float = 0.0) -> "BlaschkeZeroSet":
+                   beta: Optional[float] = None) -> "BlaschkeZeroSet":
         zeros = [complex(a) for a in zeros]
         phases = [normalizing_phase(a) for a in zeros]
-        zs = cls(zeros=zeros, phases=phases, beta=0.0,
-                 truncation_tail=truncation_tail)
+        zs = cls(zeros=zeros, phases=phases, beta=0.0)
         if beta is not None:
             zs.beta = float(beta)
         else:

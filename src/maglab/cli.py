@@ -4,8 +4,10 @@ Subcommands: spectrum, hopping, splitting, mho-check, landau-check,
 blaschke-check, partition-check, sweep, plot.  Exit codes: 0 success,
 2 config error, 3 numerical failure.
 
-Configuration is a single INI file (stdlib configparser) with sections
-[model], [grid], [sweep], [checks], [output]; command-line flags override.
+Configuration is a single INI file (stdlib configparser) with the sections
+[model], [grid], [sweep] and [output]; any other section, or an unknown key
+in [model], [grid] or [sweep], is a config error.  Command-line flags
+override.  Every `*-check` command runs its suite unconditionally.
 Sweeps write a manifest keyed by the config hash and a hash of the maglab
 sources, and skip completed points on a rerun with both unchanged.  The
 manifest also records the BLAS thread settings seen at sweep start, which
@@ -51,8 +53,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-KNOWN_SUITES = ("mho", "landau", "blaschke", "partition")
-
 
 class ConfigError(ValueError):
     pass
@@ -67,7 +67,6 @@ class RunConfig:
     model: dict
     grid: dict
     sweep: dict
-    checks: List[str]
     output: dict
     raw_text: str = ""
 
@@ -115,6 +114,9 @@ def load_config(path: Optional[str]) -> RunConfig:
             cp.read_string(raw)
         except configparser.Error as exc:
             raise ConfigError("config parse error: %s" % exc) from exc
+    for section in cp.sections():
+        if section not in ("model", "grid", "sweep", "output"):
+            raise ConfigError("unknown config section: [%s]" % section)
 
     model = dict(DEFAULT_MODEL)
     if cp.has_section("model"):
@@ -142,23 +144,12 @@ def load_config(path: Optional[str]) -> RunConfig:
         if not vals:
             raise ConfigError("sweep list %r is empty" % key)
 
-    checks = list(KNOWN_SUITES)
-    if cp.has_section("checks"):
-        names = [t for t in cp.get("checks", "suites",
-                                   fallback=" ".join(KNOWN_SUITES))
-                 .replace(",", " ").split() if t]
-        for name in names:
-            if name not in KNOWN_SUITES:
-                raise ConfigError("unknown check suite: %s (known: %s)"
-                                  % (name, ", ".join(KNOWN_SUITES)))
-        checks = names
-
     output = {"dir": "results"}
     if cp.has_option("output", "dir"):
         output["dir"] = cp.get("output", "dir")
 
-    return RunConfig(model=model, grid=grid, sweep=sweep, checks=checks,
-                     output=output, raw_text=raw)
+    return RunConfig(model=model, grid=grid, sweep=sweep, output=output,
+                     raw_text=raw)
 
 
 def _model_params(cfg: RunConfig, args) -> ModelParams:
@@ -686,13 +677,18 @@ def cmd_plot(cfg: RunConfig, args) -> int:
 # entry point
 
 
+# the subcommands: `<suite>-check` runs CHECK_SUITES[suite], and every other
+# name runs the module's cmd_<name>
+COMMANDS = (("spectrum", "hopping", "splitting")
+            + tuple(suite + "-check" for suite in CHECK_SUITES)
+            + ("sweep", "plot"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="maglab",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "hopping", "splitting", "mho-check",
-                 "landau-check", "blaschke-check", "partition-check",
-                 "sweep", "plot"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, metavar="PATH")
         p.add_argument("--out", default=None, metavar="DIR")
@@ -715,23 +711,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         cmd = args.command
-        if cmd == "spectrum":
-            return cmd_spectrum(cfg, args)
-        if cmd == "hopping":
-            return cmd_hopping(cfg, args)
-        if cmd == "splitting":
-            return cmd_splitting(cfg, args)
         if cmd.endswith("-check"):
-            suite = cmd[:-len("-check")]
-            if suite not in cfg.checks:
-                print("note: suite %r not enabled in config; running anyway"
-                      % suite, file=sys.stderr)
-            return _run_suite(suite, args.seed)
-        if cmd == "sweep":
-            return cmd_sweep(cfg, args)
-        if cmd == "plot":
-            return cmd_plot(cfg, args)
-        raise ConfigError("unknown command %s" % cmd)
+            return _run_suite(cmd[:-len("-check")], args.seed)
+        # looked up at call time, so that a replaced cmd_<name> is called
+        return globals()["cmd_" + cmd](cfg, args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

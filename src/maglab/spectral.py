@@ -6,10 +6,11 @@ at b = 0, and scipy's `eigsh` hands a complex matrix to `eigs`, so each pass is
 ARPACK's Arnoldi iteration (znaupd), not Lanczos, with scipy's default
 ncv = max(2k + 1, 20) basis vectors.  Operators that commute with the grid
 reflection x -> -x split into half-size even and odd blocks (`parity_defect`,
-`parity_blocks`, `unfold_parity`).  The Riesz projector is the trapezoid
-quadrature of (1/2pi i) * contour integral of the resolvent, with one complex
-sparse LU per contour node (each factorization serves a conjugate pair of
-nodes).
+`parity_blocks`, `unfold_parity`).  The Riesz projector (`riesz_project`)
+is the trapezoid quadrature of (1/2pi i) * contour integral of the
+resolvent, with one complex sparse LU per contour node (each factorization
+serves a conjugate pair of nodes), and its rank is checked by a Hutch++
+trace estimate in the same sweep.
 
 Every sparse LU is SuperLU with the minimum-degree ordering of A^T + A.  The
 lattice operators are structurally symmetric 5-point matrices, where that
@@ -43,9 +44,9 @@ of Pi_m^2 into a single one,
 
 exactly, so each node costs one more solve on the LU in hand and nothing
 per node is stored.  The idempotence check ||Pi_m^2 f - Pi_m f|| and the
-rank check then need no second sweep: `riesz_project_with_rank` projects
-the rank probes Z together with the fields f, and the Hutch++ range term
-takes Pi Q for Q = orth(Pi Z) from W = Pi^2 Z.  Q is cut from the SVD
+rank check then need no second sweep: `riesz_project`, the one projection
+routine, projects the rank probes Z together with the fields f, and the
+Hutch++ range term takes Pi Q for Q = orth(Pi Z) from W = Pi^2 Z.  Q is cut from the SVD
 Pi Z = U S V* (Q = U_k, Pi Q = W V_k S_k^{-1}, directions with s_i below
 RANGE_CUTOFF * s_1 dropped), not from a QR: Pi Z has singular values of
 1e-10 to 1e-16 beyond the enclosed levels, and dividing by them amplifies
@@ -315,12 +316,6 @@ class Contour:
         xi = np.exp(1j * theta)
         return self.center + self.radius * xi, xi
 
-    def clearance_ok(self, eigenvalues, rel: float = 1e-3) -> bool:
-        """No eigenvalue within radius*rel of the contour circle."""
-        ev = np.asarray(eigenvalues, dtype=complex)
-        d = np.abs(np.abs(ev - self.center) - self.radius)
-        return bool(np.all(d > self.radius * rel))
-
 
 class ContourSolveError(RuntimeError):
     def __init__(self, node, message):
@@ -383,61 +378,6 @@ def _add_node(acc1, acc2, xi, w, c, r1, r2):
     acc2 += r2
 
 
-def _field_columns(f):
-    """(single, vecs): whether f is one Field, and its fields as columns."""
-    single = isinstance(f, Field)
-    fields = [f] if single else list(f)
-    return single, np.stack([g.flat() for g in fields], axis=1)
-
-
-def _as_fields(grid, vecs: np.ndarray, single: bool):
-    out = [field_from_flat(grid, vecs[:, j]) for j in range(vecs.shape[1])]
-    return out[0] if single else out
-
-
-# the projection is accepted at the first node count m whose idempotence
-# defect ||Pi_m^2 f - Pi_m f|| / ||f|| is at most IDEMPOTENCE_TOL, after at
-# most MAX_DOUBLINGS doublings of m
-IDEMPOTENCE_TOL = 1e-8
-MAX_DOUBLINGS = 4
-
-
-def _until_idempotent(op: SparseHermitianOp, contour: Contour,
-                      vecs: np.ndarray, p1: np.ndarray, p2: np.ndarray,
-                      m: int):
-    """(Pi_m vecs, m, defect) at the first m whose idempotence defect
-    ||Pi_m^2 f - Pi_m f|| / ||f|| <= IDEMPOTENCE_TOL holds for every column
-    f; defect is its maximum over the columns.
-
-    (p1, p2) = (Pi_m vecs, Pi_m^2 vecs) at the starting m; each doubling of
-    m is one more sweep over the fields.
-    """
-    norms = np.linalg.norm(vecs, axis=0)
-    for doubling in range(MAX_DOUBLINGS + 1):
-        if doubling:
-            m *= 2
-            p1, p2 = _sweep(op, contour, vecs, m)
-        defect = float(np.max(np.linalg.norm(p2 - p1, axis=0) / norms))
-        if defect <= IDEMPOTENCE_TOL:
-            return p1, m, defect
-    raise RuntimeError("projector idempotence defect %.3g > %.3g even at "
-                       "m=%d nodes" % (defect, IDEMPOTENCE_TOL, m))
-
-
-def riesz_project(op: SparseHermitianOp, contour: Contour, f):
-    """Riesz spectral projector applied to one Field or a list of Fields.
-
-    The node count starts at contour.quadrature_nodes and is doubled until the
-    projector idempotence defect ||Pi(Pi f) - Pi f|| <= IDEMPOTENCE_TOL *
-    ||f||.
-    """
-    single, vecs = _field_columns(f)
-    m = contour.quadrature_nodes
-    p1, p2 = _sweep(op, contour, vecs, m)
-    p1, _, _ = _until_idempotent(op, contour, vecs, p1, p2, m)
-    return _as_fields(op.grid, p1, single)
-
-
 def _rank_probes(N: int, probes: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.choice([-1.0, 1.0], size=(N, probes)).astype(complex)
@@ -473,44 +413,39 @@ def _deflated_trace(Z: np.ndarray, Y: np.ndarray, W: np.ndarray) -> float:
     return t_range + t_resid
 
 
-def projector_rank_estimate(op: SparseHermitianOp, contour: Contour,
-                            probes: int = 8, seed: int = 0) -> float:
-    """Trace estimate of the Riesz projector via random probes, in one
-    sweep over Z.
-
-    Deflated (Hutch++-style) estimator, see `_deflated_trace`: for a
-    projector of rank <= probes the variance is negligible, unlike plain
-    Hutchinson whose per-probe variance is O(rank)."""
-    Z = _rank_probes(op.matrix.shape[0], probes, seed)
-    return _deflated_trace(Z, *_sweep(op, contour, Z,
-                                      contour.quadrature_nodes))
-
-
 class ClusterError(RuntimeError):
     """The contour does not enclose a spectral cluster of the expected rank."""
 
 
-# the largest |rank estimate - rank| that `riesz_project_with_rank` accepts
+# the largest |rank estimate - rank| that `riesz_project` accepts
 RANK_TOL = 0.1
 
+# the projection is accepted at the first node count m whose idempotence
+# defect ||Pi_m^2 f - Pi_m f|| / ||f|| is at most IDEMPOTENCE_TOL, after at
+# most MAX_DOUBLINGS doublings of m
+IDEMPOTENCE_TOL = 1e-8
+MAX_DOUBLINGS = 4
 
-def riesz_project_with_rank(op: SparseHermitianOp, contour: Contour, f,
-                            rank: int, probes: int = 8, seed: int = 0):
-    """(projected fields, rank estimate, nodes, idempotence defect):
-    `riesz_project` of f and `projector_rank_estimate` in one sweep over the
-    nodes, which projects [Z | f] and gives Pi^2 of both.
 
-    nodes is the m used after any doubling and the defect the largest
-    ||Pi_m^2 f - Pi_m f|| / ||f|| over the fields at that m.  A ClusterError
-    is raised when the estimate is farther than RANK_TOL from rank, before
-    any doubling; a failed idempotence check then doubles m for the fields
-    alone, as in `riesz_project`.  rank is the number of levels the caller
-    means the contour to enclose (2 for the double-well pair in
-    `tunneling.quasimodes`); the check is made here rather than by the
-    caller so that a wrong contour fails before the doubling spends more
-    sweeps on it.
+def riesz_project(op: SparseHermitianOp, contour: Contour,
+                  fields: Sequence[Field], rank: int, probes: int = 8,
+                  seed: int = 0):
+    """(projected fields, rank estimate, nodes, idempotence defect): the
+    Riesz projector Pi applied to a list of Fields, and the Hutch++ trace of
+    Pi from `probes` random probes Z, in one sweep over the nodes that
+    projects [Z | f] and gives Pi^2 of both.
+
+    rank is the number of levels the caller means the contour to enclose (2
+    for the double-well pair in `tunneling.quasimodes`).  A ClusterError is
+    raised when the estimate is farther than RANK_TOL from rank, before any
+    doubling, so that a wrong contour fails before more sweeps are spent on
+    it.  The node count starts at contour.quadrature_nodes and is doubled,
+    one more sweep over the fields alone each time, until the idempotence
+    defect ||Pi_m^2 f - Pi_m f|| / ||f|| is at most IDEMPOTENCE_TOL for every
+    field; nodes is the m used and the defect the largest over the fields at
+    that m.
     """
-    single, vecs = _field_columns(f)
+    vecs = np.stack([f.flat() for f in fields], axis=1)
     m = contour.quadrature_nodes
     Z = _rank_probes(vecs.shape[0], probes, seed)
     P1, P2 = _sweep(op, contour, np.hstack([Z, vecs]), m)
@@ -519,6 +454,15 @@ def riesz_project_with_rank(op: SparseHermitianOp, contour: Contour, f,
         raise ClusterError("projector rank estimate %.3f is not %d "
                            "(contour center %s radius %g)"
                            % (estimate, rank, contour.center, contour.radius))
-    p1, m, defect = _until_idempotent(op, contour, vecs, P1[:, probes:],
-                                      P2[:, probes:], m)
-    return _as_fields(op.grid, p1, single), estimate, m, defect
+    p1, p2 = P1[:, probes:], P2[:, probes:]
+    norms = np.linalg.norm(vecs, axis=0)
+    for doubling in range(MAX_DOUBLINGS + 1):
+        if doubling:
+            m *= 2
+            p1, p2 = _sweep(op, contour, vecs, m)
+        defect = float(np.max(np.linalg.norm(p2 - p1, axis=0) / norms))
+        if defect <= IDEMPOTENCE_TOL:
+            return ([field_from_flat(op.grid, p1[:, j])
+                     for j in range(p1.shape[1])], estimate, m, defect)
+    raise RuntimeError("projector idempotence defect %.3g > %.3g even at "
+                       "m=%d nodes" % (defect, IDEMPOTENCE_TOL, m))

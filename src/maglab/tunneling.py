@@ -34,7 +34,7 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
 from .mho_kernels import MHOParams, ground_state
 from .spectral import (Contour, EigensolverError, SpectralResult,
                        _lowest_near, _verified_result, count_below,
-                       parity_blocks, parity_defect, riesz_project_with_rank,
+                       parity_blocks, parity_defect, riesz_project,
                        unfold_parity)
 
 
@@ -254,7 +254,7 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
 
     The projector's rank is estimated from rank_probes random probes in the
     same sweep over the m/2 contour nodes that projects the pair
-    (`riesz_project_with_rank`): m/2 LUs, one alive at a time.  A
+    (`spectral.riesz_project`): m/2 LUs, one alive at a time.  A
     spectral.ClusterError is raised unless the estimate is within
     spectral.RANK_TOL of 2; a failed idempotence check doubles m for the
     pair alone.
@@ -271,7 +271,7 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     phi_plus = magnetic_translate(base, (+d1s, 0.0), blam)
     phi_minus = magnetic_translate(base, (-d1s, 0.0), blam)
 
-    (psi_minus, psi_plus), rank, nodes, defect = riesz_project_with_rank(
+    (psi_minus, psi_plus), rank, nodes, defect = riesz_project(
         op, contour, [phi_minus, phi_plus], rank=2, probes=rank_probes,
         seed=seed)
     return QuasimodePair(

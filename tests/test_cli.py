@@ -49,7 +49,6 @@ def test_load_config_defaults():
     assert cfg.model["lam"] == 30.0
     assert cfg.grid["n"] == 240
     assert cfg.sweep["lam"] == [30.0]
-    assert set(cfg.checks) == {"mho", "landau", "blaschke", "partition"}
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -67,10 +66,17 @@ def test_load_config_rejects_empty_sweep(tmp_path):
         load_config(p)
 
 
-def test_load_config_rejects_unknown_suite(tmp_path):
-    p = write(tmp_path / "bad.ini", "[checks]\nsuites = mho nosuchsuite\n")
-    with pytest.raises(ConfigError, match="nosuchsuite"):
+def test_load_config_rejects_a_checks_section(tmp_path):
+    # every *-check command runs its suite, so a suite list selects nothing
+    p = write(tmp_path / "bad.ini", "[checks]\nsuites = mho\n")
+    with pytest.raises(ConfigError, match=r"\[checks\]"):
         load_config(p)
+
+
+def test_misspelt_section_exits_config_code(tmp_path, capsys):
+    p = write(tmp_path / "typo.ini", "[sweeps]\nlam = 8.0 9.0\n")
+    assert cli.main(["partition-check", "--config", p]) == EXIT_CONFIG
+    assert "[sweeps]" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_config_code(capsys):
@@ -183,6 +189,15 @@ def test_partition_check_suite_passes(capsys):
 
 def test_check_suites_registry():
     assert set(cli.CHECK_SUITES) == {"mho", "landau", "blaschke", "partition"}
+
+
+def test_every_command_has_its_handler():
+    for name in cli.COMMANDS:
+        if name.endswith("-check"):
+            assert name[:-len("-check")] in cli.CHECK_SUITES
+        else:
+            assert callable(getattr(cli, "cmd_" + name))
+    assert len(set(cli.COMMANDS)) == len(cli.COMMANDS) == 9
 
 
 def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys, monkeypatch):

@@ -19,9 +19,7 @@ from maglab.spectral import (
     _verified_result,
     count_below,
     lowest_eigs,
-    projector_rank_estimate,
     riesz_project,
-    riesz_project_with_rank,
 )
 from maglab.tunneling import quasimodes
 
@@ -118,12 +116,6 @@ def test_verified_result_reorthonormalizes_skewed_vectors():
     assert res.orthogonality_defect <= 1e-12
 
 
-def test_contour_clearance():
-    c = Contour(center=0.0 + 0.0j, radius=1.0)
-    assert c.clearance_ok([0.0, 2.0])
-    assert not c.clearance_ok([0.9995])
-
-
 def test_riesz_projector_matches_dense_projector():
     op = make_op()
     w, V = dense_eigs(op)
@@ -132,7 +124,7 @@ def test_riesz_projector_matches_dense_projector():
     vec = rng.standard_normal(op.dimension) \
         + 1j * rng.standard_normal(op.dimension)
     f = Field(op.grid, vec.reshape(op.grid.n, op.grid.n))
-    pf = riesz_project(op, contour, f)
+    (pf,), _, _, _ = riesz_project(op, contour, [f], rank=2)
     exact = V[:, :2] @ (V[:, :2].conj().T @ vec)
     assert np.linalg.norm(pf.flat() - exact) <= 1e-8 * np.linalg.norm(vec)
 
@@ -144,13 +136,13 @@ def test_riesz_projector_idempotent_and_commutes():
     rng = np.random.default_rng(1)
     vec = rng.standard_normal(op.dimension).astype(complex)
     f = Field(op.grid, vec.reshape(op.grid.n, op.grid.n))
-    pf = riesz_project(op, contour, f)
-    ppf = riesz_project(op, contour, pf)
+    (pf,), _, _, _ = riesz_project(op, contour, [f], rank=2)
+    (ppf,), _, _, _ = riesz_project(op, contour, [pf], rank=2)
     assert np.linalg.norm(ppf.flat() - pf.flat()) \
         <= 1e-7 * np.linalg.norm(vec)
     # commutation with the Hamiltonian
     hp = op.apply(pf)
-    ph = riesz_project(op, contour, op.apply(f))
+    (ph,), _, _, _ = riesz_project(op, contour, [op.apply(f)], rank=2)
     assert np.linalg.norm(hp.flat() - ph.flat()) \
         <= 1e-6 * np.linalg.norm(op.apply(f).flat())
 
@@ -162,7 +154,7 @@ def test_riesz_projector_accepts_field_lists():
     rng = np.random.default_rng(2)
     fs = [Field(op.grid, rng.standard_normal((op.grid.n, op.grid.n))
                 .astype(complex)) for _ in range(3)]
-    out = riesz_project(op, contour, fs)
+    out, _, _, _ = riesz_project(op, contour, fs, rank=2)
     assert isinstance(out, list) and len(out) == 3
 
 
@@ -171,7 +163,9 @@ def test_projector_rank_estimate_counts_enclosed_levels(enclosed):
     op = make_op(b=0.25)
     w, _ = dense_eigs(op)
     contour = cluster_contour(w, enclosed, m=48)
-    est = projector_rank_estimate(op, contour, probes=6, seed=0)
+    f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
+    _, est, _, _ = riesz_project(op, contour, [f], rank=enclosed, probes=6,
+                                 seed=0)
     assert abs(est - enclosed) < 0.05
 
 
@@ -199,21 +193,22 @@ def test_fused_sweeps_match_separate_projection_and_rank():
     n = op.grid.n
     fs = [Field(op.grid, rng.standard_normal((n, n))
                 + 1j * rng.standard_normal((n, n))) for _ in range(2)]
-    fused, est, nodes, _ = riesz_project_with_rank(op, contour, fs, rank=2,
-                                                   probes=6, seed=4)
+    fused, est, nodes, _ = riesz_project(op, contour, fs, rank=2, probes=6,
+                                         seed=4)
     assert nodes == 32
-    for got, ref in zip(fused, riesz_project(op, contour, fs)):
-        assert np.linalg.norm(got.flat() - ref.flat()) \
-            <= 1e-12 * np.linalg.norm(ref.flat())
-    ref_est = projector_rank_estimate(op, contour, probes=6, seed=4)
-    assert abs(est - ref_est) <= 1e-12 * ref_est
     assert abs(est - 2.0) < 1e-6
 
-    # the Hutch++ estimate from three passes of Pi alone: over Z, over
-    # Q = orth(Pi Z) from a QR, and over the deflated probes G
     def project(v):
         return _sweep(op, contour, v, 32)[0]
 
+    # the fields projected by a sweep over them alone
+    ref = project(np.stack([f.flat() for f in fs], axis=1))
+    for j, got in enumerate(fused):
+        assert np.linalg.norm(got.flat() - ref[:, j]) \
+            <= 1e-12 * np.linalg.norm(ref[:, j])
+
+    # the Hutch++ estimate from three passes of Pi alone: over Z, over
+    # Q = orth(Pi Z) from a QR, and over the deflated probes G
     Z = _rank_probes(op.dimension, 6, 4)
     Q, _ = np.linalg.qr(project(Z))
     G = Z - Q @ (Q.conj().T @ Z)
@@ -247,8 +242,8 @@ def test_idempotence_doubling_costs_one_sweep_per_node_count(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
-    _, est, nodes, defect = riesz_project_with_rank(op, contour, f, rank=2,
-                                                    probes=6)
+    _, est, nodes, defect = riesz_project(op, contour, [f], rank=2,
+                                          probes=6)
     assert nodes == 32 and defect <= 1e-8
     assert len(calls) == 16 // 2 + 16       # m/2 at m = 16, then m/2 at 32
     assert abs(est - 2.0) < 0.1
@@ -268,7 +263,7 @@ def test_fused_sweeps_reject_wrong_rank_before_doubling(monkeypatch):
     monkeypatch.setattr(spla, "splu", counting_splu)
     f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
     with pytest.raises(ClusterError, match="rank estimate 3.0"):
-        riesz_project_with_rank(op, contour, f, rank=2, probes=6)
+        riesz_project(op, contour, [f], rank=2, probes=6)
     assert len(calls) == contour.quadrature_nodes // 2   # one sweep of m/2
 
 
