@@ -46,12 +46,12 @@ exactly, so each node costs one more solve on the LU in hand and nothing
 per node is stored.  The idempotence check ||Pi_m^2 f - Pi_m f|| and the
 rank check then need no second sweep: `riesz_project`, the one projection
 routine, projects the rank probes Z together with the fields f, and the
-Hutch++ range term takes Pi Q for Q = orth(Pi Z) from W = Pi^2 Z.  Q is cut from the SVD
-Pi Z = U S V* (Q = U_k, Pi Q = W V_k S_k^{-1}, directions with s_i below
-RANGE_CUTOFF * s_1 dropped), not from a QR: Pi Z has singular values of
-1e-10 to 1e-16 beyond the enclosed levels, and dividing by them amplifies
-rounding (a QR route gave rank estimates of 3.19 and 2.0037 for a rank-2
-projector).  The deflated Hutchinson term needs Pi applied to
+Hutch++ range term takes Pi Q for Q = orth(Pi Z) from W = Pi^2 Z.  Q is cut
+from the SVD Pi Z = U S V* (Q = U_k, Pi Q = W V_k S_k^{-1}, directions with
+s_i below RANGE_CUTOFF * s_1 dropped), not from a QR: Pi Z has singular
+values of 1e-10 to 1e-16 beyond the enclosed levels, and dividing by them
+amplifies rounding (a QR route gave rank estimates of 3.19 and 2.0037 for a
+rank-2 projector).  The deflated Hutchinson term needs Pi applied to
 Z - Q Q* Z, which the linear trapezoid sum gives as Pi Z - (Pi Q) Q* Z.
 """
 
