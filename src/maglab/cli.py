@@ -6,8 +6,8 @@ blaschke-check, partition-check, sweep, plot.  Exit codes: 0 success,
 
 Configuration is a single INI file (stdlib configparser) with the sections
 [model], [grid], [sweep] and [output]; any other section, or an unknown key
-in [model], [grid] or [sweep], is a config error.  Command-line flags
-override.  Every `*-check` command runs its suite unconditionally.
+in any of them, is a config error.  Command-line flags override.  Every
+`*-check` command runs its suite unconditionally.
 Sweeps write a manifest keyed by the config hash and a hash of the maglab
 sources, and skip completed points on a rerun with both unchanged.  The
 manifest also records the BLAS thread settings seen at sweep start, which
@@ -145,8 +145,11 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError("sweep list %r is empty" % key)
 
     output = {"dir": "results"}
-    if cp.has_option("output", "dir"):
-        output["dir"] = cp.get("output", "dir")
+    if cp.has_section("output"):
+        for key in cp.options("output"):
+            if key not in output:
+                raise ConfigError("unknown [output] key: %s" % key)
+            output[key] = cp.get("output", key)
 
     return RunConfig(model=model, grid=grid, sweep=sweep, output=output,
                      raw_text=raw)

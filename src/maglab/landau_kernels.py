@@ -156,31 +156,36 @@ def _ts_nodes(level):
 _GLX, _GLW = np.polynomial.legendre.leggauss(24)
 
 
-def _integrand(a, zz, t, dt):
-    """sum over nodes t (weights dt) of t^a (1+t)^{-a} e^{-tz} (z + a/(1+t)),
-    in log form; zz is z with a trailing node axis."""
-    body = np.exp(-t * zz + a * np.log(t) - a * np.log1p(t))
-    return np.sum(body * (zz + a / (1 + t)) * dt, axis=-1)
+def _integrand(a, z, t, dt):
+    """sum over nodes t (weights dt) of e^{-tz} exp(a (log t - log1p t))
+    (z + a/(1+t)) for each entry of the 1-D array z, as two matrix-vector
+    products.  Both exponentials have modulus <= 1 for Re a > 0 and
+    Re z > 0, and the second does not depend on z."""
+    w = np.exp(a * (np.log(t) - np.log1p(t))) * dt
+    e = np.exp(-np.multiply.outer(z, t))
+    return z * (e @ w) + e @ (w * a / (1 + t))
 
 
-def _head(a, zz, level):
-    """The [0, 1] part of `gamma_tricomi_u`'s integral, tanh-sinh at level."""
-    return _integrand(a, zz, *_ts_nodes(level))
-
-
-def _tail(a, zz, head):
-    """The [1, inf) part: geometric Gauss-Legendre panels, truncated when a
-    panel falls below 1e-17 of |head + tail| (the tail does not depend on
-    the head's quadrature level)."""
+def _tail(a, z, head):
+    """The [1, inf) part of `gamma_tricomi_u`'s integral for the 1-D array
+    z: geometric Gauss-Legendre panels [lo, 2 lo].  An argument stops
+    taking panels once its panel falls below 1e-17 of |head + tail| and
+    lo Re z >= 1, where the panel weight lo e^{-lo Re z} is past its peak,
+    so later panels only shrink; a slower argument in the same call does
+    not hold it.  The tail does not depend on the head's quadrature
+    level."""
     tail = np.zeros_like(head)
+    live = np.arange(len(z))
     lo = 1.0
     for _ in range(300):   # reaches t ~ 2^300: covers Re z down to ~1e-88
         hi = 2 * lo
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        piece = rad * _integrand(a, zz, mid + rad * _GLX, _GLW)
-        tail = tail + piece
-        ref = np.maximum(np.abs(head + tail), 1e-300)
-        if np.all(np.abs(piece) < 1e-17 * ref):
+        piece = rad * _integrand(a, z[live], mid + rad * _GLX, _GLW)
+        tail[live] += piece
+        ref = np.maximum(np.abs(head[live] + tail[live]), 1e-300)
+        done = (np.abs(piece) < 1e-17 * ref) & (lo * z[live].real >= 1)
+        live = live[~done]
+        if not len(live):
             return tail
         lo = hi
     raise DomainError("tail of the U integral did not converge "
@@ -198,23 +203,38 @@ def gamma_tricomi_u(a, z, rel_tol: float = 1e-10):
     sits at t ~ e^{-1/a}, far below any floating-point node; the 1/a pole is
     carried analytically instead).
 
-    Requires Re a > 0 and Re z > 0.  z may be an array.  The [1, inf) tail
-    is computed once; the tanh-sinh level of the [0, 1] head is refined
-    until two successive levels agree to rel_tol.
+    Requires finite a and z with Re a > 0 and Re z > 0.  z may be an array;
+    the result is complex with z's shape.  The arithmetic is real when
+    Im a = 0 and every z is real, complex otherwise.  The [1, inf) tail is
+    computed once, each argument taking panels until its own stop rule
+    holds (`_tail`).  The [0, 1] head is tanh-sinh from level 4, refined
+    until two successive levels agree to rel_tol; the level-L nodes are the
+    even-indexed level-(L+1) nodes, so each refinement halves the previous
+    head and adds the odd nodes only.
     """
     a = complex(a)
     zarr = np.asarray(z, dtype=complex)
+    if not np.isfinite(a):
+        raise DomainError("a = %s is not finite" % a)
+    if not np.all(np.isfinite(zarr)):
+        raise DomainError("z = %s is not finite"
+                          % complex(zarr[~np.isfinite(zarr)][0]))
     if a.real <= 0:
         raise DomainError("integral representation needs Re a > 0")
     if np.any(np.real(zarr) <= 0):
         raise DomainError("integral representation needs Re z > 0")
-    zz = zarr[..., None]
-    head = _head(a, zz, 4)
-    tail = _tail(a, zz, head)
+    zf = zarr.ravel()
+    if a.imag == 0 and not np.any(zf.imag):
+        a, zf = a.real, zf.real
+    head = _integrand(a, zf, *_ts_nodes(4))
+    tail = _tail(a, zf, head)
     prev = (head + tail) / a
     for level in (5, 6, 7):
-        cur = (_head(a, zz, level) + tail) / a
+        t, dt = _ts_nodes(level)
+        head = head / 2 + _integrand(a, zf, t[1::2], dt[1::2])
+        cur = (head + tail) / a
         if np.all(np.abs(cur - prev) <= rel_tol * np.abs(cur)):
+            cur = cur.reshape(zarr.shape).astype(complex)
             return cur if np.ndim(z) else complex(cur)
         prev = cur
     raise DomainError("U quadrature failed to reach the relative tolerance")
@@ -232,6 +252,8 @@ def tricomi_u(a, z, rel_tol: float = 1e-10):
 def pole_distance(B, z) -> float:
     """Distance of A = 1/2 - z/(2B) from the nonpositive integers, i.e. the
     (rescaled) distance of z from the Landau levels B(2N+1)."""
+    if not (np.isfinite(B) and np.isfinite(z)):
+        raise DomainError("B = %s and z = %s must be finite" % (B, z))
     A = 0.5 - complex(z) / (2 * complex(B))
     n = max(0, round(-A.real))
     return min(abs(A + n), abs(A + n + 1), abs(A + max(n - 1, 0)))

@@ -79,6 +79,15 @@ def test_misspelt_section_exits_config_code(tmp_path, capsys):
     assert "[sweeps]" in capsys.readouterr().err
 
 
+def test_unknown_output_key_exits_config_code(tmp_path, capsys):
+    # a sweep would otherwise write to results/, not to the intended dir
+    p = write(tmp_path / "typo.ini", "[output]\ndirectory = elsewhere\n")
+    with pytest.raises(ConfigError, match="directory"):
+        load_config(p)
+    assert cli.main(["partition-check", "--config", p]) == EXIT_CONFIG
+    assert "[output] key: directory" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_config_code(capsys):
     rc = cli.main(["spectrum", "--config", "/nonexistent/path.ini"])
     assert rc == EXIT_CONFIG

@@ -4,6 +4,7 @@ kernel, gauge structure, the pole diagnostics, and the grid application of
 the resolvent against the direct per-point sum."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -83,6 +84,56 @@ def test_gamma_tricomi_u_at_small_a():
     for a in (1e-4, 1e-6):
         got = gamma_tricomi_u(a, z)
         assert abs(got * a - 1.0) < 5e-3
+
+
+@pytest.mark.parametrize("level", [4, 5, 6])
+def test_tanh_sinh_levels_nest(level):
+    # the level-L rule is the even-indexed half of level L + 1, weights x 2,
+    # so a refinement only evaluates the odd nodes
+    t, dt = lk._ts_nodes(level)
+    t_fine, dt_fine = lk._ts_nodes(level + 1)
+    assert np.array_equal(t_fine[::2], t)
+    assert np.array_equal(dt_fine[::2] * 2, dt)
+
+
+def test_gamma_tricomi_u_batch_matches_scalar_calls():
+    # each argument stops its own tail, so its neighbours in a batch (here
+    # w ~ 1e-26, which takes ~90 panels) do not change its value
+    a = 0.5 - 0.35 / 2
+    z = np.array([1e-26, 1e-12, 1e-5, 0.3, 5.0, 80.0, 400.0])
+    batch = gamma_tricomi_u(a, z)
+    single = np.array([gamma_tricomi_u(a, x) for x in z])
+    assert np.all(np.abs(batch - single) <= 1e-15 * np.abs(single))
+
+
+def test_gamma_tricomi_u_complex_arguments_match_mpmath():
+    a = 0.325 + 0.4j
+    z = np.array([0.3 + 0.2j, 2.0 - 1.0j, 1e-3 + 1e-3j, 7.0 + 0.5j])
+    got = gamma_tricomi_u(a, z)
+    for g, x in zip(got, z):
+        ref = complex(mpmath.gamma(a) * mpmath.hyperu(a, 1, x))
+        assert abs(g - ref) <= 1e-8 * abs(ref), x
+
+
+def test_gamma_tricomi_u_shape_and_dtype():
+    z = np.array([[0.1, 0.7, 3.0], [1e-4, 12.0, 40.0]])
+    got = gamma_tricomi_u(0.8, z)
+    assert got.shape == z.shape and got.dtype == complex
+    # a complex-typed input with zero imaginary part takes the same path
+    assert np.array_equal(gamma_tricomi_u(0.8 + 0j, z.astype(complex)), got)
+    assert isinstance(gamma_tricomi_u(0.8, 0.7), complex)
+
+
+@pytest.mark.parametrize("a, z, named", [
+    (0.5, np.nan, "z = (nan"), (0.5, np.inf, "z = (inf"),
+    (0.5, [0.3, np.nan, 2.0], "z = (nan"), (np.nan, 0.5, "a = (nan"),
+    (complex(0.5, np.inf), 0.5, "a = "), (0.5, complex(1.0, np.nan), "z = ")])
+def test_gamma_tricomi_u_rejects_non_finite_input(a, z, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no quadrature runs
+        with pytest.raises(DomainError, match="not finite") as err:
+            gamma_tricomi_u(a, z)
+    assert named in str(err.value)
 
 
 def test_u111_equals_e_times_e1():
@@ -233,6 +284,11 @@ def test_apply_landau_resolvent_guards():
         apply_landau_resolvent(B, 0.35 * B, Field(grid, edge))
     with pytest.raises(PoleProximityError):
         apply_landau_resolvent(B, B, _crescent_source())
+
+
+def test_apply_landau_resolvent_rejects_non_finite_z():
+    with pytest.raises(DomainError, match=r"z = \(nan"):
+        apply_landau_resolvent(8.0, np.nan, _crescent_source())
 
 
 def test_support_distance_searches_boundary_nodes_only():
