@@ -16,7 +16,12 @@ with A = 1/2 - z/(2B) and w = B |x-y|^2 / 2, where U is Tricomi's confluent
 hypergeometric function evaluated through its Laplace-type integral
 representation.  The product Gamma(A) * U(A,1,w) is always computed as the
 raw (un-normalized) integral, which is positive for real arguments and free
-of the overflow/cancellation of forming Gamma and U separately.
+of the overflow/cancellation of forming Gamma and U separately: a tanh-sinh
+head on [0, 1] (Takahasi and Mori, Publ. RIMS 9, 1974), refined by nested
+levels that each evaluate only the new odd-indexed nodes, plus geometric
+Gauss-Legendre panels on [1, inf) that every argument leaves by its own stop
+rule.  The arithmetic is real when A and every w are real (B and z real),
+complex otherwise.
 
 On a grid with axis a and spacing h the kernel factorizes as
 
