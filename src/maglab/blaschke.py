@@ -66,6 +66,9 @@ def normalizing_phase(a: complex) -> float:
     return float(-np.angle(w))
 
 
+REAL_ZERO_TOL = 1e-14
+
+
 @dataclass
 class BlaschkeZeroSet:
     """Finite zero list with normalizing phases and a budget beta at z = 1."""
@@ -112,10 +115,11 @@ class BlaschkeZeroSet:
                        % (self.budget_big(), self.beta))
         return out
 
-    def real_zeros_in(self, lo: float, hi: float,
-                      imag_tol: float = 1e-14) -> List[float]:
+    def real_zeros_in(self, lo: float, hi: float) -> List[float]:
+        """The zeros in (lo, hi) whose |Im a| is at most REAL_ZERO_TOL, as
+        sorted reals."""
         return sorted(a.real for a in self.zeros
-                      if abs(a.imag) <= imag_tol and lo < a.real < hi)
+                      if abs(a.imag) <= REAL_ZERO_TOL and lo < a.real < hi)
 
 
 def product(zs: BlaschkeZeroSet, z):
@@ -161,18 +165,24 @@ def _on_nodes(F: Callable, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(F(t), dtype=complex), t.shape)
 
 
-def _gl_panel_sum(F: Callable, lo: float, hi: float, levels: int = 42,
-                  order: int = 8) -> Tuple[float, int]:
+# `_gl_panel_sum` grades PANEL_LEVELS geometric panels toward each end of
+# a sub-interval, each with a PANEL_ORDER-point Gauss-Legendre rule
+PANEL_LEVELS = 42
+PANEL_ORDER = 8
+
+
+def _gl_panel_sum(F: Callable, lo: float, hi: float) -> Tuple[float, int]:
     """(integral_{lo}^{hi} -log|F| dt, number of nodes F was evaluated at)
     with geometric panel grading toward both endpoints (where integrable log
     singularities may sit).  F is called once, on the nodes of every panel."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = np.polynomial.legendre.leggauss(PANEL_ORDER)
     mid = 0.5 * (lo + hi)
     panels = []
     for (a0, b0) in ((lo, mid), (hi, mid)):     # grade from each endpoint
         sgn = 1.0 if b0 > a0 else -1.0
         length = abs(b0 - a0)
-        edges = [a0 + sgn * length * 2.0 ** (-k) for k in range(levels, -1, -1)]
+        edges = [a0 + sgn * length * 2.0 ** (-k)
+                 for k in range(PANEL_LEVELS, -1, -1)]
         edges = [a0] + edges
         for p, q in zip(edges[:-1], edges[1:]):
             lo_p, hi_p = (p, q) if q > p else (q, p)
@@ -346,11 +356,17 @@ def synthetic_f(zero_set: BlaschkeZeroSet,
     return F
 
 
-def estimate_mu0(F: Callable, delta: float, samples: int = 33) -> float:
-    """Median of t * (-log|F(t)|) over the block [delta, 2 delta], F
-    evaluated on all the samples in one call; samples where F vanishes are
-    left out."""
-    ts = np.linspace(delta, 2 * delta, samples + 2)[1:-1]
+# `estimate_mu0` samples MU0_SAMPLES interior points of its block;
+# `certify_lower_bound` checks |F| <= |U| at DOMINATION_SAMPLES points
+MU0_SAMPLES = 33
+DOMINATION_SAMPLES = 64
+
+
+def estimate_mu0(F: Callable, delta: float) -> float:
+    """Median of t * (-log|F(t)|) over MU0_SAMPLES interior points of the
+    block [delta, 2 delta], F evaluated on all of them in one call; samples
+    where F vanishes are left out."""
+    ts = np.linspace(delta, 2 * delta, MU0_SAMPLES + 2)[1:-1]
     m = np.abs(_on_nodes(F, ts))
     keep = m != 0
     if not keep.any():
@@ -365,8 +381,7 @@ def certify_lower_bound(zero_set: Optional[BlaschkeZeroSet] = None,
                         alpha: Optional[float] = None,
                         F: Optional[Callable] = None,
                         envelope: Optional[Callable] = None,
-                        beta: Optional[float] = None,
-                        domination_samples: int = 64) -> LowerBoundCertificate:
+                        beta: Optional[float] = None) -> LowerBoundCertificate:
     """Lower-bound certificate in either half-plane or wedge mode.
 
     Half-plane (delta given): data are a zero set plus an optional Herglotz
@@ -439,7 +454,7 @@ def certify_lower_bound(zero_set: Optional[BlaschkeZeroSet] = None,
     if -math.log(max(f1, 1e-300)) > beta + 1e-12:
         raise CertificateError("hypothesis violated: -log|F(1)| = %.6g > "
                                "beta = %.6g" % (-math.log(f1), beta))
-    ts = np.linspace(min(1.0, R), 2 * R, domination_samples)
+    ts = np.linspace(min(1.0, R), 2 * R, DOMINATION_SAMPLES)
     f, u = np.abs(_on_nodes(F, ts)), np.abs(_on_nodes(U, ts))
     over = np.flatnonzero(f > u * (1 + 1e-10))
     if over.size:

@@ -36,8 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import blaschke
-from .grid_model import (Field, ModelParams, SparseHermitianOp, WellSpec,
-                         build_operator, choose_grid)
+from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
+                         WellSpec, build_operator)
 from .landau_kernels import (gamma_tricomi_u, landau_semigroup_defect,
                              load_landau_constants, tricomi_u)
 from .mho_kernels import (discretize_mho, ground_state, mho_params,
@@ -282,10 +282,10 @@ def mho_check_suite(seed: int = 0) -> List[Tuple[str, bool, str]]:
     rows = []
     p = mho_params(1.0, 2.0, 0.5, 30.0)
 
-    # closed-form ground state against the discretized operator
-    mp = ModelParams(lam=30.0, b=1.0, d1=1.0, a=0.3,
-                     hessian=np.diag([2.0, 8.0]))   # Hess_jj = 2 k_j^2
-    grid = choose_grid(mp, 200, double_well=False, pad=0.0)
+    # closed-form ground state against the discretized operator, on the
+    # decay rule's extent a + 6/sqrt(lam min_j Hess_jj) with Hess_jj =
+    # 2 k_j^2 = (2, 8) and a = 0.3
+    grid = Grid2D(half_extent=0.3 + 6.0 / math.sqrt(30.0 * 2.0), n=200)
     op = discretize_mho(p, grid)
     res = lowest_eigs(op, k=1, seed=seed)
     e_exact = 30.0 * math.sqrt(10.0) / 2.0
@@ -305,12 +305,15 @@ def mho_check_suite(seed: int = 0) -> List[Tuple[str, bool, str]]:
     return rows
 
 
-def _e1_series(x: float, terms: int = 60) -> float:
+E1_TERMS = 60
+
+
+def _e1_series(x: float) -> float:
     """Exponential integral E1 by the alternating series
     E1(x) = -gamma - log x + sum_{k>=1} (-1)^{k+1} x^k / (k * k!)."""
     s = -np.euler_gamma - math.log(x)
     term = 1.0
-    for k in range(1, terms + 1):
+    for k in range(1, E1_TERMS + 1):
         term *= -x / k
         s -= term / k
     return s

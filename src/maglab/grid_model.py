@@ -31,26 +31,20 @@ SEPARATION_CONSTANT = 2.0
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration shared by all solvers; lam is real."""
+    """Physical configuration shared by all solvers: coupling lam (real),
+    field b, well centres at +-(d1, 0) and well radius a.  The well's shape
+    and curvature live in its WellSpec."""
 
     lam: float
     b: float
     d1: float
     a: float
-    hessian: np.ndarray = field(default_factory=lambda: np.eye(2))
 
     def __post_init__(self):
         lam = complex(self.lam)
         if lam.imag != 0:
             raise ValueError("lam must be real, got %s" % (self.lam,))
         object.__setattr__(self, "lam", lam.real)
-        H = np.asarray(self.hessian, dtype=float)
-        if H.shape != (2, 2) or not np.allclose(H, H.T, atol=1e-12):
-            raise ValueError("hessian must be a symmetric 2x2 matrix")
-        w = np.linalg.eigvalsh(H)
-        if np.any(w <= 0):
-            raise ValueError("hessian must be positive definite, got eigs %s" % w)
-        object.__setattr__(self, "hessian", H)
         if self.a <= 0:
             raise ValueError("well radius a must be positive")
         if self.d1 < 0:
@@ -58,12 +52,13 @@ class ModelParams:
         if self.b < 0:
             raise ValueError("b must be nonnegative")
 
-    @property
-    def min_hessian_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.hessian)[0])
-
     def separation_ok(self) -> bool:
         return 2 * self.d1 > SEPARATION_CONSTANT * self.a
+
+
+# `Grid2D.commensurate` accepts offsets within this many grid steps of a
+# whole number
+COMMENSURATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,10 +85,12 @@ class Grid2D:
         x = self.axis()
         return np.meshgrid(x, x, indexing="ij")
 
-    def commensurate(self, z, tol=1e-9) -> bool:
+    def commensurate(self, z) -> bool:
+        """Whether every entry of z is a whole number of grid steps, to
+        COMMENSURATE_TOL steps."""
         z = np.asarray(z, dtype=float)
         steps = z / self.spacing
-        return bool(np.all(np.abs(steps - np.round(steps)) < tol))
+        return bool(np.all(np.abs(steps - np.round(steps)) < COMMENSURATE_TOL))
 
     def snap(self, z) -> np.ndarray:
         """Round a 2-vector to the nearest grid-commensurate displacement."""
@@ -103,10 +100,13 @@ class Grid2D:
 
 def choose_grid(params: ModelParams, n: int, double_well: bool = True,
                 pad: float = 0.0) -> Grid2D:
-    """Grid whose extent follows the decay rule
-    L >= d1 + a + 6/sqrt(lam*min_eig(hessian)), optionally padded."""
+    """Grid on [-L, L]^2 with the decay rule L = d1 + a + 6/sqrt(lam) + pad
+    (d1 = 0 for a single well).  This is the one formula for the margin
+    6/sqrt(lam) past the wells, and `build_operator` checks double-well
+    grids against it.  The margin does not depend on the well's curvature,
+    whose one source is `WellSpec.hessian_at_origin`."""
     L = (params.d1 if double_well else 0.0) + params.a \
-        + 6.0 / np.sqrt(params.lam * params.min_hessian_eig) + pad
+        + 6.0 / np.sqrt(params.lam) + pad
     return Grid2D(half_extent=L, n=n)
 
 
@@ -245,7 +245,9 @@ def build_operator(params: ModelParams, grid: Grid2D,
     """Assemble the lattice Hamiltonian.
 
     wells: list of (WellSpec, center) pairs; length 0 (Landau), 1, or 2.
-    Dirichlet walls at +-L.  Link phase on the bond x -> x + h e_j is
+    Two wells must be separated (`ModelParams.separation_ok`) and the grid
+    must reach the extent `choose_grid` gives them.  Dirichlet walls at +-L.
+    Link phase on the bond x -> x + h e_j is
     exp(i h A_j(midpoint)) with A = (b lam / 2) (x - gauge_origin)_perp.
     h * lam must not exceed FLUX_PER_PLAQUETTE_BOUND.
     """
@@ -261,7 +263,7 @@ def build_operator(params: ModelParams, grid: Grid2D,
         if not params.separation_ok():
             raise ValueError("well separation 2*d1 = %g does not exceed C*a = %g"
                              % (2 * params.d1, SEPARATION_CONSTANT * params.a))
-        Lmin = params.d1 + params.a + 6.0 / np.sqrt(lam * params.min_hessian_eig)
+        Lmin = choose_grid(params, grid.n).half_extent
         if grid.half_extent < Lmin - 1e-12:
             raise ValueError("grid half extent %g below the decay rule minimum %g"
                              % (grid.half_extent, Lmin))

@@ -47,16 +47,14 @@ import numpy as np
 import scipy.special as spec
 
 from .grid_model import Field
-from .mho_kernels import SignedLog
+from .mho_kernels import _GL_W, _GL_X, SignedLog, _ts_nodes
 
-__all__ = [
-    "landau_heat_kernel", "log_landau_heat_kernel",
-    "tricomi_u", "gamma_tricomi_u", "landau_resolvent_kernel",
-    "pole_distance", "apply_landau_resolvent", "offdiag_decay_rate",
-    "DecayFit", "resolvent_norm_envelope", "load_landau_constants",
-    "landau_semigroup_defect",
-    "PoleProximityError", "DomainError", "SupportError",
-]
+# spectral parameters closer than POLE_GUARD to the pole lattice (in the
+# rescaled distance of `pole_distance`) are refused
+POLE_GUARD = 1e-6
+# the relative tolerance of the kernel tables of `apply_landau_resolvent`
+# (`_radial_table`, `_diagonal_cell`)
+TABLE_REL_TOL = 1e-9
 
 
 class PoleProximityError(ValueError):
@@ -143,24 +141,6 @@ def landau_semigroup_defect(B, s: float, s_prime: float) -> float:
 # Tricomi U via the Laplace-type integral
 
 
-def _ts_nodes(level):
-    """Tanh-sinh nodes/weights for integrals over (0, 1)."""
-    h = 0.5 ** level
-    tau = np.arange(-3.6, 3.6 + h / 2, h)
-    # t = (1 + tanh((pi/2) sinh tau))/2 in the cancellation-free sigmoid
-    # form, so nodes near 0 keep full relative precision (needed for the
-    # t^{a-1} endpoint singularity)
-    e = np.pi * np.sinh(tau)
-    t = 1.0 / (1.0 + np.exp(-e))
-    one_minus_t = 1.0 / (1.0 + np.exp(e))
-    dt = h * np.pi * np.cosh(tau) * t * one_minus_t
-    keep = (t > 0) & (t < 1)
-    return t[keep], dt[keep]
-
-
-_GLX, _GLW = np.polynomial.legendre.leggauss(24)
-
-
 def _integrand(a, z, t, dt):
     """sum over nodes t (weights dt) of e^{-tz} exp(a (log t - log1p t))
     (z + a/(1+t)) for each entry of the 1-D array z, as two matrix-vector
@@ -185,7 +165,7 @@ def _tail(a, z, head):
     for _ in range(300):   # reaches t ~ 2^300: covers Re z down to ~1e-88
         hi = 2 * lo
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        piece = rad * _integrand(a, z[live], mid + rad * _GLX, _GLW)
+        piece = rad * _integrand(a, z[live], mid + rad * _GL_X, _GL_W)
         tail[live] += piece
         ref = np.maximum(np.abs(head[live] + tail[live]), 1e-300)
         done = (np.abs(piece) < 1e-17 * ref) & (lo * z[live].real >= 1)
@@ -245,9 +225,10 @@ def gamma_tricomi_u(a, z, rel_tol: float = 1e-10):
     raise DomainError("U quadrature failed to reach the relative tolerance")
 
 
-def tricomi_u(a, z, rel_tol: float = 1e-10):
-    """Tricomi's confluent hypergeometric U(a, 1, z), Re a > 0, Re z > 0."""
-    return gamma_tricomi_u(a, z, rel_tol) / spec.gamma(complex(a))
+def tricomi_u(a, z):
+    """Tricomi's confluent hypergeometric U(a, 1, z), Re a > 0, Re z > 0, to
+    `gamma_tricomi_u`'s default relative tolerance."""
+    return gamma_tricomi_u(a, z) / spec.gamma(complex(a))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +245,10 @@ def pole_distance(B, z) -> float:
     return min(abs(A + n), abs(A + n + 1), abs(A + max(n - 1, 0)))
 
 
-def landau_resolvent_kernel(B, z, x, y, pole_guard: float = 1e-6,
-                            rel_tol: float = 1e-10):
-    """Landau resolvent kernel (H_B - z)^{-1}(x, y) for x != y."""
+def landau_resolvent_kernel(B, z, x, y):
+    """Landau resolvent kernel (H_B - z)^{-1}(x, y) for x != y, with
+    `gamma_tricomi_u`'s default relative tolerance; z within POLE_GUARD of
+    the pole lattice is refused."""
     B, z = complex(B), complex(z)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -274,13 +256,13 @@ def landau_resolvent_kernel(B, z, x, y, pole_guard: float = 1e-6,
     if d2 == 0:
         raise DomainError("resolvent kernel is log-singular at x = y")
     dist = pole_distance(B, z)
-    if dist < pole_guard:
-        raise PoleProximityError(dist, pole_guard)
+    if dist < POLE_GUARD:
+        raise PoleProximityError(dist, POLE_GUARD)
     A = 0.5 - z / (2 * B)
     w = B * d2 / 2
     if w.real <= 0:
         raise DomainError("Re(B|x-y|^2/2) must be positive")
-    core = gamma_tricomi_u(A, w, rel_tol) / (4 * np.pi)
+    core = gamma_tricomi_u(A, w) / (4 * np.pi)
     phase = np.exp(-1j * (B / 2) * _wedge(x, y) - (B / 4) * d2)
     return complex(core * phase)
 
@@ -289,7 +271,7 @@ def landau_resolvent_kernel(B, z, x, y, pole_guard: float = 1e-6,
 # resolvent application on a grid
 
 
-def _radial_table(B, z, r2_int, h, rel_tol=1e-9):
+def _radial_table(B, z, r2_int, h):
     """F(d) = (1/4pi) Gamma(A) U(A,1,B d^2/2) e^{-B d^2/4} for the unique
     lattice distances d^2 = h^2 * r2_int (r2_int an integer array > 0)."""
     A = 0.5 - complex(z) / (2 * complex(B))
@@ -298,11 +280,11 @@ def _radial_table(B, z, r2_int, h, rel_tol=1e-9):
     out = np.empty(len(d2), dtype=complex)
     chunk = 4096
     for i in range(0, len(d2), chunk):
-        out[i:i + chunk] = gamma_tricomi_u(A, w[i:i + chunk], rel_tol)
+        out[i:i + chunk] = gamma_tricomi_u(A, w[i:i + chunk], TABLE_REL_TOL)
     return out / (4 * np.pi) * np.exp(-complex(B) * d2 / 4)
 
 
-def _diagonal_cell(B, z, h, rel_tol=1e-9):
+def _diagonal_cell(B, z, h):
     """int_{|u| < rho} F(|u|) du over the equal-area disk of one grid cell,
     by radial tanh-sinh quadrature (the integrand is r * log(r)-like)."""
     A = 0.5 - complex(z) / (2 * complex(B))
@@ -312,7 +294,7 @@ def _diagonal_cell(B, z, h, rel_tol=1e-9):
     t, dt = t[keep], dt[keep]  # below double precision
     r = rho * t
     w = complex(B) * r ** 2 / 2
-    vals = gamma_tricomi_u(A, w, rel_tol) / (4 * np.pi) \
+    vals = gamma_tricomi_u(A, w, TABLE_REL_TOL) / (4 * np.pi) \
         * np.exp(-complex(B) * r ** 2 / 4)
     return complex(2 * np.pi * rho * np.sum(vals * r * dt))
 
@@ -337,7 +319,7 @@ def _radial_window(B, z, h, half_rows, half_cols):
     return quadrant[rows[:, None], cols[None, :]]
 
 
-def apply_landau_resolvent(B, z, f: Field, pole_guard: float = 1e-6) -> Field:
+def apply_landau_resolvent(B, z, f: Field) -> Field:
     """(H_B - z)^{-1} f by product-grid quadrature of the kernel integral.
 
     f must be compactly supported strictly inside the grid (one empty node
@@ -367,8 +349,8 @@ def apply_landau_resolvent(B, z, f: Field, pole_guard: float = 1e-6) -> Field:
     """
     B, z = complex(B), complex(z)
     dist = pole_distance(B, z)
-    if dist < pole_guard:
-        raise PoleProximityError(dist, pole_guard)
+    if dist < POLE_GUARD:
+        raise PoleProximityError(dist, POLE_GUARD)
     grid = f.grid
     n, h = grid.n, grid.spacing
     vals = f.values
@@ -415,10 +397,11 @@ def apply_landau_resolvent(B, z, f: Field, pole_guard: float = 1e-6) -> Field:
     return Field(grid, out)
 
 
-def resolvent_norm_envelope(lam, b, diameter, constants=None) -> float:
+def resolvent_norm_envelope(lam, b, diameter) -> float:
     """Frozen-constant envelope for ||R f|| / ||f|| with complex coupling:
-    C * |lam|^sharp * exp( (b |Im lam| diameter / 2)^2 / (b Re lam) )."""
-    constants = constants or load_landau_constants()
+    C * |lam|^sharp * exp( (b |Im lam| diameter / 2)^2 / (b Re lam) ), with
+    C and sharp from `load_landau_constants`."""
+    constants = load_landau_constants()
     lam = complex(lam)
     C = constants["norm_C"]
     sharp = constants["norm_sharp"]

@@ -38,17 +38,6 @@ import scipy.sparse as sp
 
 from .grid_model import Grid2D, ModelParams, SparseHermitianOp, build_operator
 
-__all__ = [
-    "MHOParams", "RegionBounds", "SignedLog",
-    "mho_params", "heat_kernel", "log_heat_kernel", "heat_kernel_direct",
-    "ground_state", "dual_ground_state", "ground_state_energy",
-    "modified_green", "GreenResult", "mu_threshold",
-    "d_bound", "default_region_bounds", "load_green_bound_constants",
-    "discretize_mho", "mho_semigroup_defect",
-    "SingularityError", "DivergenceError", "ParameterError",
-]
-
-
 class ParameterError(ValueError):
     """Invalid or out-of-wedge MHO parameters."""
 
@@ -498,6 +487,23 @@ class GreenResult:
         return complex(self.value)
 
 
+def _ts_nodes(level):
+    """Tanh-sinh nodes/weights for integrals over (0, 1), step h = 2^-level
+    in tau.  The level-L nodes are the even-indexed level-(L+1) nodes with
+    twice the weight, so a refinement evaluates only the odd nodes."""
+    h = 0.5 ** level
+    tau = np.arange(-3.6, 3.6 + h / 2, h)
+    # t = (1 + tanh((pi/2) sinh tau))/2 in the cancellation-free sigmoid
+    # form, so nodes near 0 keep full relative precision (needed for the
+    # t^{a-1} endpoint singularity of the Tricomi integral)
+    e = np.pi * np.sinh(tau)
+    t = 1.0 / (1.0 + np.exp(-e))
+    one_minus_t = 1.0 / (1.0 + np.exp(e))
+    dt = h * np.pi * np.cosh(tau) * t * one_minus_t
+    keep = (t > 0) & (t < 1)
+    return t[keep], dt[keep]
+
+
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _GL_X_LO, _GL_W_LO = np.polynomial.legendre.leggauss(12)
 
@@ -533,45 +539,39 @@ def _panel(p, x, y, mu, a, b, nodes, weights):
     return rad * np.sum(weights * _green_integrand(p, x, y, mu, ss))
 
 
-def _tanh_sinh(p, x, y, mu, b, tol=1e-12, max_level=10):
-    """Tanh-sinh quadrature of the integrand on (0, b)."""
-    def transform(t):
-        w = np.tanh(0.5 * np.pi * np.sinh(t))
-        s = 0.5 * b * (1 + w)
-        ds = 0.25 * np.pi * b * np.cosh(t) / np.cosh(0.5 * np.pi * np.sinh(t)) ** 2
-        return s, ds
+# the head of `modified_green` is refined through level HEAD_MAX_LEVEL of
+# `_ts_nodes` until two successive levels differ by less than
+# HEAD_TOL * max(1, |value|)
+HEAD_TOL = 1e-12
+HEAD_MAX_LEVEL = 11
 
-    tmax = 3.5
-    h = 0.5
-    ts = np.arange(-tmax, tmax + h / 2, h)
-    s, ds = transform(ts)
-    good = s > 0
-    val = h * np.sum(_green_integrand(p, x, y, mu, s[good]) * ds[good])
-    err = np.inf
-    for _ in range(max_level):
-        h /= 2
-        ts = np.arange(-tmax + h, tmax, 2 * h)
-        s, ds = transform(ts)
-        good = s > 0
-        add = h * np.sum(_green_integrand(p, x, y, mu, s[good]) * ds[good])
-        new = val / 2 + add
-        err = abs(new - val)
-        val = new
-        if err < tol * max(1.0, abs(val)):
+
+def _head(p, x, y, mu, b):
+    """(value, |difference of the last two levels|): tanh-sinh quadrature of
+    the integrand on (0, b), on the `_ts_nodes` of (0, 1) scaled by b, from
+    level 1, each level halving the previous sum and adding its odd nodes."""
+    t, dt = _ts_nodes(1)
+    val = b * np.sum(_green_integrand(p, x, y, mu, b * t) * dt)
+    for level in range(2, HEAD_MAX_LEVEL + 1):
+        t, dt = _ts_nodes(level)
+        new = val / 2 + b * np.sum(
+            _green_integrand(p, x, y, mu, b * t[1::2]) * dt[1::2])
+        err, val = abs(new - val), new
+        if err < HEAD_TOL * max(1.0, abs(val)):
             break
     return val, err
 
 
-def modified_green(p: MHOParams, x, y, mu,
-                   rb: RegionBounds = None) -> GreenResult:
+def modified_green(p: MHOParams, x, y, mu) -> GreenResult:
     """G~(x, y, mu) = int_0^inf (e^{mu s}/lam) [q - counterterm] ds.
 
-    Adaptive quadrature split at the region thresholds of rb: tanh-sinh on
-    (0, c1], dyadic Gauss-Legendre panels on [c1, C1], exponentially growing
-    panels beyond C1, truncated when a panel's contribution falls below 1e-16
-    of the running total.  Returns the value with an absolute error estimate.
+    Adaptive quadrature split at the thresholds of the default RegionBounds:
+    tanh-sinh on (0, c1] (`_head`), dyadic Gauss-Legendre panels on
+    [c1, C1], exponentially growing panels beyond C1, truncated when a
+    panel's contribution falls below 1e-16 of the running total.  Returns
+    the value with an absolute error estimate.
     """
-    rb = rb or default_region_bounds()
+    rb = default_region_bounds()
     mu = complex(mu)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -582,7 +582,7 @@ def modified_green(p: MHOParams, x, y, mu,
         raise DivergenceError("Re mu = %g at or beyond the convergence "
                               "threshold %g" % (mu.real, mu_threshold(p)))
 
-    total, err = _tanh_sinh(p, x, y, mu, rb.c1)
+    total, err = _head(p, x, y, mu, rb.c1)
 
     # dyadic Gauss-Legendre panels on [c1, C1]
     a = rb.c1

@@ -89,8 +89,14 @@ class DyadicPartition:
         return sum((p(r) != 0).astype(int) for p in self.psi)
 
 
-def build_partition(delta: float, R: float, order: int = 4) -> DyadicPartition:
-    """Dyadic partition with N = ceil(log2(R/delta)) annular pieces.
+# smoothness order of the step profiles of `build_partition`
+SMOOTHNESS_ORDER = 4
+FD_SAMPLES = 2000
+
+
+def build_partition(delta: float, R: float) -> DyadicPartition:
+    """Dyadic partition with N = ceil(log2(R/delta)) annular pieces, whose
+    profiles are C^SMOOTHNESS_ORDER.
 
     Requires R > 8 delta so that the annular (non-edge) indices exist and the
     companion supports stay nested.
@@ -101,7 +107,7 @@ def build_partition(delta: float, R: float, order: int = 4) -> DyadicPartition:
         raise PartitionError("need R > 8*delta (got R = %g, 8*delta = %g)"
                              % (R, 8 * delta))
     N = int(math.ceil(math.log2(R / delta)))
-    coeffs = smoothstep_coeffs(order)
+    coeffs = smoothstep_coeffs(SMOOTHNESS_ORDER)
 
     def theta_scaled(scale):
         return lambda r: _theta(np.asarray(r, dtype=float) / scale, coeffs)
@@ -134,18 +140,18 @@ def build_partition(delta: float, R: float, order: int = 4) -> DyadicPartition:
             psi.append(lambda r, d=d_nu: _ramp(
                 2 * np.asarray(r, dtype=float) / d, 0.5, 1.0, coeffs))
             annuli.append((d_nu / 2, math.inf))
-    return DyadicPartition(delta=delta, R=R, N=N, order=order,
+    return DyadicPartition(delta=delta, R=R, N=N, order=SMOOTHNESS_ORDER,
                            chi=chi, psi=psi, annuli=annuli)
 
 
-def _radial_derivative_max(f: Callable, lo: float, hi: float, order: int,
-                           samples: int = 2000) -> float:
+def _radial_derivative_max(f: Callable, lo: float, hi: float,
+                           order: int) -> float:
     """max |d^order f / dr^order| on [lo, hi] by central finite differences.
 
     Radial profiles: the partial x1-derivative along the x1 axis equals the
     radial derivative, so this is the directional derivative bound.
     """
-    r = np.linspace(lo, hi, samples)
+    r = np.linspace(lo, hi, FD_SAMPLES)
     step = max((hi - lo) * 2e-4, 1e-12)
     if order == 0:
         return float(np.max(np.abs(f(r))))

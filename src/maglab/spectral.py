@@ -68,11 +68,8 @@ from .grid_model import Field, SparseHermitianOp, field_from_flat
 
 
 class EigensolverError(RuntimeError):
-    """Non-convergence diagnostic carrying the best residuals achieved."""
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
+    """A failed eigen-solve: ARPACK did not converge, a symmetric LU could
+    not count, or the counts do not prove the computed levels the lowest."""
 
 
 @dataclass
@@ -156,8 +153,7 @@ def _arpack(M, k: int, sigma: float, lu, seed: int):
         got = getattr(err, "eigenvalues", None)
         raise EigensolverError(
             "eigensolver did not converge (%d of %d values found)"
-            % (0 if got is None else len(got), k),
-            residuals=None) from err
+            % (0 if got is None else len(got), k)) from err
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 

@@ -1,10 +1,10 @@
 """End-to-end acceptance criteria.
 
 Each test pins one headline guarantee of the package with frozen parameters,
-seeds, and tolerances.  The full file takes roughly 10-12 minutes on one core;
-the heavy items are the fine-lattice resolvent residual (test 4), the 2x2
-splitting identity (test 5), and the splitting-vs-hopping ratio sweep
-(test 6).
+seeds, and tolerances.  The full file takes about 47 s on a 2-vCPU Xeon VM
+with BLAS threads not pinned; the heavy items are the splitting-vs-hopping
+ratio sweep (test 6, about 25 s), the 2x2 splitting identity (test 5, about
+13 s) and the fine-lattice resolvent residual (test 4, about 6 s).
 """
 
 import math
@@ -65,10 +65,9 @@ def bump(X1, X2, center, rad):
 
 def test_acceptance_01_mho_closed_form_vs_grid():
     p = mho_params(1.0, 2.0, 0.5, 30.0)
-    # decay rule needs the well curvature: Hess_jj = 2 k_j^2
-    mp = ModelParams(lam=30.0, b=1.0, d1=1.0, a=0.3,
-                     hessian=np.diag([2.0, 8.0]))
-    grid = choose_grid(mp, 200, double_well=False, pad=0.0)
+    # the decay rule's extent a + 6/sqrt(lam min_j Hess_jj), with the well
+    # curvature Hess_jj = 2 k_j^2 = (2, 8) and a = 0.3
+    grid = Grid2D(half_extent=0.3 + 6.0 / math.sqrt(30.0 * 2.0), n=200)
     op = discretize_mho(p, grid)
     res = lowest_eigs(op, k=1, seed=0)
     e_exact = 30.0 * math.sqrt(10.0) / 2.0

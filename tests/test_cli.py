@@ -162,8 +162,8 @@ def test_spectrum_levels_match_the_splitting_levels(tmp_path, monkeypatch):
     with open(tmp_path / "spectrum.json") as fh:
         levels = json.load(fh)["eigenvalues"]
     (op,) = built
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0)
+    sd = splitting_direct(op, seed=0)
+    assert not sd.cluster_separated
     np.testing.assert_allclose(levels, sd.energies, rtol=1e-11)
 
 

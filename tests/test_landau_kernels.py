@@ -76,6 +76,11 @@ def test_tricomi_u_matches_mpmath():
         got = tricomi_u(a, z)
         ref = complex(mpmath.hyperu(a, 1, z))
         assert abs(got - ref) <= 1e-8 * abs(ref), (a, z)
+    # U(350, 1, 2) = 2.8e-761 underflows, so the last case compares 0 with
+    # 0; Gamma(350) U(350, 1, 2) = 1.0019e-23 is representable
+    got = gamma_tricomi_u(350.0, 2.0)
+    ref = complex(mpmath.gamma(350) * mpmath.hyperu(350, 1, 2))
+    assert abs(got - ref) <= 1e-8 * abs(ref)
 
 
 def test_gamma_tricomi_u_at_small_a():
@@ -86,10 +91,11 @@ def test_gamma_tricomi_u_at_small_a():
         assert abs(got * a - 1.0) < 5e-3
 
 
-@pytest.mark.parametrize("level", [4, 5, 6])
+@pytest.mark.parametrize("level", range(1, 11))
 def test_tanh_sinh_levels_nest(level):
     # the level-L rule is the even-indexed half of level L + 1, weights x 2,
-    # so a refinement only evaluates the odd nodes
+    # so a refinement only evaluates the odd nodes; levels 1-11 are the
+    # ones modified_green's head reaches, 4-7 gamma_tricomi_u's
     t, dt = lk._ts_nodes(level)
     t_fine, dt_fine = lk._ts_nodes(level + 1)
     assert np.array_equal(t_fine[::2], t)

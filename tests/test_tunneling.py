@@ -225,9 +225,9 @@ def full_residuals(op, spectral):
 @pytest.mark.parametrize("b", [0.05, 0.0])
 def test_splitting_parity_path_matches_full_operator(b):
     op = small_double_well(b)
-    # at this size E2 crowds the pair: the cluster-gap warning must stay
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0)
+    # at this size E2 crowds the pair: it must stay flagged not separated
+    sd = splitting_direct(op, seed=0)
+    assert not sd.cluster_separated
     assert sd.path == "parity"
     assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
     assert_levels_match(sd, full_operator_levels(op))
@@ -242,8 +242,8 @@ def test_splitting_parity_path_matches_full_operator(b):
 
 def test_splitting_asymmetric_gauge_takes_full_path():
     op = small_double_well(0.05, gauge_origin=(0.25, -0.15))
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0)
+    sd = splitting_direct(op, seed=0)
+    assert not sd.cluster_separated
     assert sd.path == "full"
     assert sd.parity_defect > 0.1
     ref = full_operator_levels(op)
@@ -252,8 +252,8 @@ def test_splitting_asymmetric_gauge_takes_full_path():
     assert max(full_residuals(op, sd.spectral)) <= 1e-8
     # a gauge transform leaves the spectrum alone: the symmetric-gauge
     # operator, solved by parity sectors, has the same levels
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sym = splitting_direct(small_double_well(0.05), seed=0)
+    sym = splitting_direct(small_double_well(0.05), seed=0)
+    assert not sym.cluster_separated
     assert_levels_match(sym, ref)
 
 
@@ -300,8 +300,8 @@ def test_splitting_below_a_coupling_beyond_the_stencil():
     h = op.grid.spacing
     assert w[0] < np.min(op.matrix.diagonal().real) - 4.0 / h ** 2 - 1.0
     assert _gershgorin_bound(op.matrix) - 1.0 < w[0]
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0)
+    sd = splitting_direct(op, seed=0)
+    assert not sd.cluster_separated
     assert sd.parity_defect <= PARITY_RTOL * np.max(np.abs(op.matrix.data))
     np.testing.assert_allclose(sd.energies, w, rtol=1e-9)
     assert max(full_residuals(op, sd.spectral)) <= 1e-8
@@ -330,8 +330,8 @@ def dense_b005():
 
 def test_splitting_carries_count_certificate(dense_b005):
     op, w = dense_b005
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0)
+    sd = splitting_direct(op, seed=0)
+    assert not sd.cluster_separated
     assert sd.path == "parity"
     np.testing.assert_allclose(sd.energies, w[:3], rtol=1e-9)
     # one shift per sector, no level of its sector below it (E0 is even,
@@ -364,8 +364,8 @@ def test_splitting_falls_back_when_only_the_sector_counts_disagree(
         return count(M, sigma) + (M.shape[0] < op.dimension)
 
     monkeypatch.setattr(tunneling, "count_below", wrong_on_blocks)
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0)
+    sd = splitting_direct(op, seed=0)
+    assert not sd.cluster_separated
     assert sd.path == "full" and sd.pair_counts == (2,)
     ref = full_operator_levels(op)
     assert sd.energies == ref.eigenvalues
@@ -438,8 +438,8 @@ def test_parity_path_makes_one_near_eigsh_call_per_sector(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", counting_eigsh)
     op = small_double_well(0.05)
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0)
+    sd = splitting_direct(op, seed=0)
+    assert not sd.cluster_separated
     assert sd.path == "parity"
     assert [(n, k) for n, k, _, _ in calls] == [(op.dimension // 2, 2)] * 2
     # neither pass runs at the Gershgorin bound
@@ -455,10 +455,9 @@ def test_parity_path_makes_one_near_eigsh_call_per_sector(monkeypatch):
 
 def test_pair_only_splitting_matches_the_default():
     op = small_double_well(0.05)
-    with pytest.warns(UserWarning, match="cluster gap"):
-        ref = splitting_direct(op, seed=0)
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0, with_e2=False)
+    ref = splitting_direct(op, seed=0)
+    sd = splitting_direct(op, seed=0, with_e2=False)
+    assert not ref.cluster_separated and not sd.cluster_separated
     assert sd.path == "parity"
     assert len(sd.energies) == 2
     np.testing.assert_allclose(sd.energies, ref.energies[:2], rtol=1e-12)
@@ -476,8 +475,8 @@ def test_pair_only_path_makes_one_k1_eigsh_call_per_sector(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", counting_eigsh)
     op = small_double_well(0.05)
-    with pytest.warns(UserWarning, match="cluster gap"):
-        sd = splitting_direct(op, seed=0, with_e2=False)
+    sd = splitting_direct(op, seed=0, with_e2=False)
+    assert not sd.cluster_separated
     assert sd.path == "parity"
     assert calls == [(op.dimension // 2, 1)] * 2
 
@@ -486,10 +485,10 @@ def test_pair_only_splitting_within_one_sector_takes_full_path():
     # the k = 1 sector solves give the even and the odd ground level, and the
     # count at E1 finds both lowest levels even
     op = pair_in_one_sector()
-    with pytest.warns(UserWarning, match=r"cluster gap .* not \(2,\)"):
-        sd = splitting_direct(op, seed=0, with_e2=False)
+    sd = splitting_direct(op, seed=0, with_e2=False)
+    assert not sd.cluster_separated
     assert sd.path == "full" and len(sd.energies) == 2
-    assert sd.pair_counts == (2,)
+    assert sd.pair_counts == (2,) and sd.separation_counts != (2,)
     assert_levels_match(sd, full_operator_levels(op))
     assert max(full_residuals(op, sd.spectral)) <= 1e-8
 
@@ -511,9 +510,7 @@ def test_pair_only_splitting_certifies_a_pair_it_cannot_separate(dense_b005):
     # second level per sector, and the pair is certified at E1 alone
     op, w = dense_b005
     assert w[2] - w[1] <= tunneling.SEPARATION_FACTOR * (w[1] - w[0])
-    with pytest.warns(UserWarning,
-                      match=r"cluster gap .* are \(2, 2\), not \(1, 1\)"):
-        sd = splitting_direct(op, seed=0, with_e2=False)
+    sd = splitting_direct(op, seed=0, with_e2=False)
     assert not sd.cluster_separated
     assert sd.pair_counts == (1, 1) and sd.pair_count == 2
     assert sd.separation_counts == (2, 2)
@@ -550,14 +547,12 @@ def test_ratio_point_gives_the_default_splitting():
     # the Delta0 of the default solve on the same double well (the
     # geometry of test_cli's test_splitting_matches_the_sweep_point)
     params = ModelParams(lam=8.0, b=0.05, d1=0.45, a=0.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")          # cluster-gap warnings
-        row = ratio_point(params, 96)
-        grid, params = tunneling.lattice_grid(params, 96)
-        spec = WellSpec.radial(params.a)
-        op = build_operator(params, grid, wells=[(spec, (-params.d1, 0.0)),
-                                                 (spec, (params.d1, 0.0))])
-        sd = splitting_direct(op)
+    row = ratio_point(params, 96)
+    grid, params = tunneling.lattice_grid(params, 96)
+    spec = WellSpec.radial(params.a)
+    op = build_operator(params, grid, wells=[(spec, (-params.d1, 0.0)),
+                                             (spec, (params.d1, 0.0))])
+    sd = splitting_direct(op)
     assert abs(row.delta - sd.delta) <= 1e-12 * sd.delta
     assert row.E0 == pytest.approx(sd.energies[0], rel=1e-12)
     assert row.E1 == pytest.approx(sd.energies[1], rel=1e-12)
