@@ -43,7 +43,7 @@ from .landau_kernels import (gamma_tricomi_u, landau_semigroup_defect,
 from .mho_kernels import (discretize_mho, ground_state, mho_params,
                           mho_semigroup_defect)
 from .partition import build_partition, verify_partition
-from .spectral import lowest_eigs
+from .spectral import certified_ground, lowest_eigs
 from .tunneling import (RATIO_CSV_COLUMNS, RatioRow, _oscillator_level,
                         hopping_coefficient, lattice_grid, ratio_point,
                         read_ratio_csv, single_well_ground, splitting_direct,
@@ -264,7 +264,7 @@ def cmd_splitting(cfg: RunConfig, args) -> int:
     print("Delta0 = %.12e" % res.delta)
     print("path   = %s (parity defect %.2e)" % (res.path, res.parity_defect))
     print("counts = %s below shifts %s; %d below (E1+E2)/2 = %.12e"
-          % (", ".join("0" for _ in res.spectral.shifts),
+          % (", ".join("%d" % c for c in res.spectral.counts),
              ", ".join("%.12e" % s for s in res.spectral.shifts),
              res.pair_count,
              0.5 * (res.energies[1] + res.energies[2])))
@@ -287,7 +287,12 @@ def mho_check_suite(seed: int = 0) -> List[Tuple[str, bool, str]]:
     # 2 k_j^2 = (2, 8) and a = 0.3
     grid = Grid2D(half_extent=0.3 + 6.0 / math.sqrt(30.0 * 2.0), n=200)
     op = discretize_mho(p, grid)
-    res = lowest_eigs(op, k=1, seed=seed)
+    # the ground level is even under x -> -x and the next one, at
+    # E0 + lam (f_plus - f_minus) / 2, odd: the midpoint between them counts
+    # one even and no odd level of the parity blocks
+    res = certified_ground(
+        op, float(np.real(p.E0 + p.lam * (p.f_plus - p.f_minus) / 4.0)),
+        None, seed)
     e_exact = 30.0 * math.sqrt(10.0) / 2.0
     rel = abs(res.eigenvalues[0] - e_exact) / e_exact
     rows.append(("ground energy vs closed form", rel <= 5e-3,
@@ -528,8 +533,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                                        "row": res}
             _atomic_write(os.path.join(out, "points", key + ".json"),
                           json.dumps({"point": point, "row": res}, indent=1))
-            print("done %s: ratio=%.9f" % (_point_label(point),
-                                           res["ratio"]))
+            print("done %s: ratio=%.9f separated=%s"
+                  % (_point_label(point), res["ratio"], res["separated"]))
 
     _atomic_write(manifest_path, json.dumps(manifest, indent=1))
 

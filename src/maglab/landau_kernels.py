@@ -439,16 +439,23 @@ def _support_distance(axis, sup):
     Only boundary nodes of the support, those with a 4-neighbour outside it
     (or off the grid), are searched: from an interior node a step toward any
     node off the support reaches another support node strictly nearer to
-    it, so the nearest support node always lies on the boundary.
+    it, so the nearest support node always lies on the boundary.  They are
+    taken a row at a time: the nearest boundary node of row r to node
+    (i, j) is the one of the nearest column, so
+    d(i, j) = min_r hypot(a_i - a_r, min_c |a_j - a_c|) over the boundary
+    rows r and their boundary columns c, one full-grid hypot per row
+    instead of one per node.  hypot grows with |y|, so this is the minimum
+    of hypot over the boundary nodes to the last bit.
     """
     padded = np.pad(sup, 1)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
     bi, bj = np.nonzero(sup & ~interior)
     d = np.full(sup.shape, np.inf)
-    for i0, j0 in zip(bi, bj):
-        np.minimum(d, np.hypot((axis - axis[i0])[:, None],
-                               (axis - axis[j0])[None, :]), out=d)
+    for r in np.unique(bi):
+        dy = np.min(np.abs(axis[:, None] - axis[bj[bi == r]]), axis=1)
+        np.minimum(d, np.hypot((axis - axis[r])[:, None], dy[None, :]),
+                   out=d)
     d[sup] = 0.0
     return d
 

@@ -482,6 +482,9 @@ def mu_threshold(p: MHOParams, safety: float = 0.9) -> float:
 class GreenResult:
     value: complex
     abs_error: float
+    # False when the (0, c1] head stopped at HEAD_MAX_LEVEL with its last two
+    # levels still HEAD_TOL * max(1, |head|) or more apart
+    converged: bool
 
     def __complex__(self):
         return complex(self.value)
@@ -547,9 +550,11 @@ HEAD_MAX_LEVEL = 11
 
 
 def _head(p, x, y, mu, b):
-    """(value, |difference of the last two levels|): tanh-sinh quadrature of
-    the integrand on (0, b), on the `_ts_nodes` of (0, 1) scaled by b, from
-    level 1, each level halving the previous sum and adding its odd nodes."""
+    """(value, |difference of the last two levels|, converged): tanh-sinh
+    quadrature of the integrand on (0, b), on the `_ts_nodes` of (0, 1)
+    scaled by b, from level 1, each level halving the previous sum and
+    adding its odd nodes; converged is False when level HEAD_MAX_LEVEL is
+    reached with the difference HEAD_TOL * max(1, |value|) or more."""
     t, dt = _ts_nodes(1)
     val = b * np.sum(_green_integrand(p, x, y, mu, b * t) * dt)
     for level in range(2, HEAD_MAX_LEVEL + 1):
@@ -558,8 +563,8 @@ def _head(p, x, y, mu, b):
             _green_integrand(p, x, y, mu, b * t[1::2]) * dt[1::2])
         err, val = abs(new - val), new
         if err < HEAD_TOL * max(1.0, abs(val)):
-            break
-    return val, err
+            return val, err, True
+    return val, err, False
 
 
 def modified_green(p: MHOParams, x, y, mu) -> GreenResult:
@@ -569,7 +574,11 @@ def modified_green(p: MHOParams, x, y, mu) -> GreenResult:
     tanh-sinh on (0, c1] (`_head`), dyadic Gauss-Legendre panels on
     [c1, C1], exponentially growing panels beyond C1, truncated when a
     panel's contribution falls below 1e-16 of the running total.  Returns
-    the value with an absolute error estimate.
+    the value with an absolute error estimate, and converged False when the
+    head stopped at its level cap short of its tolerance (at |x - y| of
+    about 1e-5 and below, where the tanh-sinh nodes do not resolve the
+    kernel's s ~ |x - y|^2 scale); the estimate then still holds the
+    difference of its last two levels.
     """
     rb = default_region_bounds()
     mu = complex(mu)
@@ -582,7 +591,7 @@ def modified_green(p: MHOParams, x, y, mu) -> GreenResult:
         raise DivergenceError("Re mu = %g at or beyond the convergence "
                               "threshold %g" % (mu.real, mu_threshold(p)))
 
-    total, err = _head(p, x, y, mu, rb.c1)
+    total, err, converged = _head(p, x, y, mu, rb.c1)
 
     # dyadic Gauss-Legendre panels on [c1, C1]
     a = rb.c1
@@ -611,7 +620,8 @@ def modified_green(p: MHOParams, x, y, mu) -> GreenResult:
     else:
         raise DivergenceError("tail quadrature did not converge")
 
-    return GreenResult(value=complex(total), abs_error=float(err))
+    return GreenResult(value=complex(total), abs_error=float(err),
+                       converged=converged)
 
 
 def load_green_bound_constants() -> dict:

@@ -8,12 +8,14 @@ positive.  Delta0 = E1 - E0 of the double-well operator; when the operator
 commutes with x -> -x (symmetric wells, symmetric gauge) E0 and E1 are the
 ground levels of its even and odd parts, and `splitting_direct` solves the two
 half-size parity blocks instead of the full lattice.  Every level reported is
-solved and proven by one routine, `_certified_levels`: one shift-invert pass
-per block at a near shift under which an inertia count finds no level
-(`spectral._lowest_near`), then counts per block at the caller's cuts; a cut
-certifies the levels when its counts are the number of computed levels of each
-block below it.  A sweep point (`ratio_point`) solves for E0, E1 alone, and
-counts prove the pair isolated without computing E2.  The quasimodes are Riesz
+solved and proven by one routine, `spectral._certified_levels`: at a candidate
+shift where each block's inertia count is the number of wanted levels, those
+levels are solved on the LUs that count them; otherwise one shift-invert pass
+per block at a near shift under which a count finds no level, then counts per
+block at the caller's cuts.  A sweep point (`ratio_point`) solves for E0, E1
+alone, each block at the single well's ground plus the hopping estimate
+2|rho0| of the splitting, and counts prove the pair isolated and tell whether
+it is separated without computing E2.  The quasimodes are Riesz
 projections of magnetically translated, cut-off oscillator ground states; their
 2x2 Gramian G and energy matrix M reproduce the splitting through
 sqrt(sigma)/|det G| with sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
@@ -31,10 +33,9 @@ from .grid_model import (Field, Grid2D, ModelParams, SparseHermitianOp,
                          WellSpec, build_operator, choose_grid,
                          magnetic_translate, well_values)
 from .mho_kernels import MHOParams, ground_state
-from .spectral import (Contour, EigensolverError, SpectralResult,
-                       _lowest_near, _verified_result, count_below,
-                       parity_blocks, parity_defect, riesz_project,
-                       unfold_parity)
+from .spectral import (CUT_RTOL, Contour, EigensolverError, SpectralResult,
+                       _certified_levels, _parity_sectors, certified_ground,
+                       count_below, riesz_project)
 
 
 class GroundStateError(ValueError):
@@ -114,9 +115,10 @@ def _oscillator_level(params: ModelParams,
                      spec: Optional[WellSpec] = None) -> float:
     """-lam^2 + Re E0 of `mho_reference`: the ground level of the well's
     quadratic approximation, where the shift search of the eigen-solves
-    starts.  It is only a hint (at lam = 20, a = 0.1 it lies above E0 and E1
-    of the double well, at lam = 45 far below them): the inertia count
-    lowers a start inside the spectrum until none lies below it."""
+    starts when no candidate shift counts the wanted levels.  It is only a
+    hint (at lam = 20, a = 0.1 it lies above E0 and E1 of the double well,
+    at lam = 45 far below them): the inertia count lowers a start inside the
+    spectrum until none lies below it."""
     return -params.lam ** 2 + float(np.real(mho_reference(params, spec).E0))
 
 
@@ -125,29 +127,16 @@ def single_well_ground(params: ModelParams, n: int,
     """(SpectralResult, op) for the well at the origin, on the grid of
     `lattice_grid`; op.params carries the snapped d1.
 
-    The operator commutes with x -> -x.  Its ground level is the even
-    block's lowest (`_certified_levels` with k = (1, 0)), searched from the
-    oscillator level, and the counts at E0 + CUT_RTOL * max(|E0|, 1) prove it
-    the lowest of the whole operator: one even level below, no odd one;
-    otherwise an EigensolverError names both counts.
+    The operator commutes with x -> -x, and its ground level is the even
+    block's lowest (`spectral.certified_ground`), counted and solved at the
+    shift 0, the top of the well (v in [-1, 0]), when one even and no odd
+    level lies below it there, else searched from the oscillator level.
     """
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid, params = lattice_grid(params, n)
     op = build_operator(params, grid, wells=[(spec, (0.0, 0.0))])
-    blocks, defect = _parity_sectors(op.matrix)
-    if blocks is None:
-        raise ValueError("the operator does not commute with x -> -x "
-                         "(||H - PHP||_max = %.3g)" % defect)
-    res, taken, certified = _certified_levels(
-        op, blocks, (1, 0), 1, _oscillator_level(params, spec), seed,
-        lambda e: [e[0] + CUT_RTOL * max(abs(e[0]), 1.0)])
-    if not certified:
-        (cut, (even, odd)), = taken
-        raise EigensolverError(
-            "even ground level %.17g is not the lowest: %d even and %d odd "
-            "level(s) lie below %.17g, where it puts 1 and 0"
-            % (res.eigenvalues[0], even, odd, cut))
-    return res, op
+    return (certified_ground(op, 0.0, _oscillator_level(params, spec), seed),
+            op)
 
 
 @dataclass
@@ -342,26 +331,9 @@ def gram_and_m(psi_minus: Field, psi_plus: Field,
 # direct splitting and the ratio report
 
 
-# symmetry test of the parity-block solves, relative to max|H|: rounding of
-# the grid coordinates leaves defects of ~1e-15 relative, a shifted gauge
-# origin or unequal wells O(1)
-PARITY_RTOL = 1e-13
-# a computed ground level E is certified by the counts at
-# E + CUT_RTOL * max(|E|, 1): above its rounding error (~1e-12 absolute at
-# lam <= 45), below the next level, O(1) away
-CUT_RTOL = 1e-8
 # `splitting_direct` calls the pair separated when E2 - E1 exceeds
 # SEPARATION_FACTOR * Delta0
 SEPARATION_FACTOR = 2.0
-
-
-def _parity_sectors(M):
-    """(the even and odd blocks of M (`parity_blocks`), or None when M does
-    not commute with x -> -x up to rounding; ||M - PMP||_max)."""
-    defect = parity_defect(M)
-    if defect > PARITY_RTOL * np.max(np.abs(M.data)):
-        return None, defect
-    return parity_blocks(M), defect
 
 
 @dataclass
@@ -373,11 +345,11 @@ class SplittingResult:
     path: str               # "parity" (even/odd sector solve) or "full"
     parity_defect: float    # ||H - PHP||_max, P: x -> -x
     # the certificate by inertia counts, one per block (even and odd sector,
-    # or H itself): no level lies below any of spectral.shifts, and
-    # pair_counts levels, one per sector or two of H, lie below the cut that
-    # proves E0, E1 the two lowest levels (`splitting_direct`);
-    # separation_counts are the counts at E1 + SEPARATION_FACTOR * Delta0
-    # (None when E2 is computed)
+    # or H itself): pair_counts levels, one per sector or two of H, lie
+    # below the shift or cut that proves E0, E1 the two lowest levels
+    # (`splitting_direct`; spectral.shifts and spectral.counts give each
+    # block's count at its shift); separation_counts are the counts at
+    # E1 + SEPARATION_FACTOR * Delta0 (None when E2 is computed)
     pair_counts: Tuple[int, ...]
     separation_counts: Optional[Tuple[int, ...]] = None
 
@@ -395,53 +367,56 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
     cleanly separated (E2 - E1 <= SEPARATION_FACTOR * Delta0), and without
     E2 separation_counts then differ from pair_counts.
 
-    The levels are solved and proven by `_certified_levels`: k = 2 per
-    parity sector with E2 (the smaller second in-sector level), k = 1
-    without, at the cuts
-    - with E2, (E1 + E2)/2.  Its counts prove E0, E1 the two lowest levels
-      and no other level below the cut; a level in [(E1 + E2)/2, E2) would
-      escape them, so E2 is the third level only if none lies there;
-    - without E2, first E1 + SEPARATION_FACTOR * Delta0, whose counts also
-      prove the pair separated (E2 - E1 > SEPARATION_FACTOR * Delta0) with
-      no third solve; then E1 + CUT_RTOL * max(|E1|, 1), where the pair is
-      certified and called not separated.
+    The levels are solved and proven by `spectral._certified_levels`: k = 2
+    per parity sector with E2 (the smaller second in-sector level), k = 1
+    without.
+    - With E2, the shift search starts from start, by default the
+      oscillator level, and the counts at the cut (E1 + E2)/2 prove E0, E1
+      the two lowest levels and no other level below the cut; a level in
+      [(E1 + E2)/2, E2) would escape them, so E2 is the third level only if
+      none lies there.
+    - Without E2, start is first tried as the shift that counts the pair:
+      when one level per sector (two of H) lies below it, they are solved
+      on the LUs that count them, and those counts are the certificate.
+      `ratio_point` passes the single well's ground plus its hopping
+      estimate 2|rho0| of the splitting, which lies between E1 and E2 at
+      the sweep points.  Otherwise the search lowers start, and the counts
+      at E1 + CUT_RTOL * max(|E1|, 1) certify the pair.  Either way the
+      counts at E1 + SEPARATION_FACTOR * Delta0 (separation_counts) tell
+      whether the pair is separated, with no third solve.
 
     One rule picks the path.  The "parity" path stands when H commutes with
     the grid reflection P (x -> -x), which holds for the symmetric double
-    well in the symmetric gauge, and a cut certified one level per sector:
-    E0 and E1 are then the ground levels of the even and odd blocks.
+    well in the symmetric gauge, and the certificate counts one level per
+    sector: E0 and E1 are then the ground levels of the even and odd blocks.
     Otherwise (a shifted gauge origin, unequal or off-axis wells, a pair
     within one sector, a count that disagrees) the "full" path solves the
     k + 1 lowest levels of H itself, and a count that disagrees there
     raises EigensolverError.
 
-    The shift search starts from start, by default the oscillator level; a
-    level already certified nearby (`ratio_point` passes the single well's
-    ground minus its hopping estimate 2|rho0| of the splitting) saves the
-    LUs of rejected shifts.  The near shifts keep the absolute eigenvalue
-    error ~eps * |E - sigma| small against the splitting, which can be many
-    orders smaller than E0.
+    The near shifts keep the absolute eigenvalue error ~eps * |E - sigma|
+    small against the splitting, which can be many orders smaller than E0.
     """
     M = op.matrix
     start = _oscillator_level(op.params) if start is None else start
     k = 2 if with_e2 else 1
+    shifts = () if with_e2 else (start,)
 
     def cuts(e):
         if with_e2:
             return [0.5 * (e[1] + e[2])]
-        return [e[1] + SEPARATION_FACTOR * max(e[1] - e[0], 1e-300),
-                e[1] + CUT_RTOL * max(abs(e[1]), 1.0)]
+        return [e[1] + CUT_RTOL * max(abs(e[1]), 1.0)]
 
     blocks, defect = _parity_sectors(M)
     path, certified = "parity", False
     if blocks is not None:
-        res, taken, certified = _certified_levels(op, blocks, (k, k), k + 1,
-                                                  start, seed, cuts)
+        res, taken, certified = _certified_levels(
+            op, blocks, (k, k), k + 1, shifts, start, seed, cuts)
         certified = certified and taken[-1][1] == (1, 1)
     if not certified:
-        path = "full"
-        res, taken, certified = _certified_levels(op, (M,), (k + 1,), k + 1,
-                                                  start, seed, cuts)
+        path, blocks = "full", (M,)
+        res, taken, certified = _certified_levels(
+            op, blocks, (k + 1,), k + 1, shifts, start, seed, cuts)
     e = res.eigenvalues
     delta = e[1] - e[0]
     cut, counts = taken[-1]
@@ -457,61 +432,18 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
         separation = None
         separated = (e[2] - e[1]) > SEPARATION_FACTOR * max(delta, 1e-300)
     else:
-        (_, separation), separated = taken[0], len(taken) == 1
+        separation = tuple(
+            count_below(B, e[1] + SEPARATION_FACTOR * max(delta, 1e-300))
+            for B in blocks)
+        separated = separation == counts
     return SplittingResult(delta=float(delta), energies=list(e),
                            spectral=res, cluster_separated=separated,
                            path=path, parity_defect=defect,
                            pair_counts=counts, separation_counts=separation)
 
 
-def _certified_levels(op: SparseHermitianOp, blocks, ks: Sequence[int],
-                      keep: int, start: float, seed: int, cuts):
-    """(SpectralResult, taken, certified): the lowest levels of op, proven
-    by inertia counts (spectrum slicing, Parlett, The Symmetric Eigenvalue
-    Problem, ch. 3).
-
-    blocks are the even and odd parity blocks of op.matrix
-    (`parity_blocks`), or (op.matrix,).  In order:
-    1. the ks[b] lowest levels of block b by one shift-invert pass
-       (`_lowest_near`) each, the first from start and each next from the
-       previous block's shift, so that both sectors are normally solved at
-       one shift: their rounding errors are then correlated and cancel in
-       E1 - E0 (at lam = 45, b = 0.05, n = 320, Delta0 moved by 8e-9
-       relative between two ARPACK seeds with the odd shift at the even
-       ground, and by 3e-10 with one common shift);
-    2. the lowest keep of all solved levels, ascending, as full-size fields
-       (`unfold_parity`) verified against op (`_verified_result`);
-    3. the counts of the blocks (`count_below`) at each of cuts(levels),
-       the ascending solved levels, in turn, kept with their cut in taken;
-    4. up to the first cut where the counts are the number of solved levels
-       of each block below it: then no level below the cut was missed, and
-       certified is True.
-    """
-    sigma, levels, shifts = start, [], []
-    for b, (B, k) in enumerate(zip(blocks, ks)):
-        if k == 0:
-            continue
-        vals, vecs, sigma = _lowest_near(B, k, sigma, seed)
-        shifts.append(sigma)
-        levels += [(vals[j], b, vecs[:, j]) for j in range(k)]
-    levels.sort(key=lambda lv: lv[0])
-    vals = np.array([lv[0] for lv in levels])
-    fields = [v if len(blocks) == 1 else unfold_parity(v, (1, -1)[b])
-              for _, b, v in levels[:keep]]
-    res = _verified_result(op, vals[:keep], np.stack(fields, axis=1),
-                           shifts=shifts)
-    taken = []
-    for cut in cuts(vals):
-        counts = tuple(count_below(B, cut) for B in blocks)
-        taken.append((cut, counts))
-        if counts == tuple(sum(1 for e, o, _ in levels if o == b and e < cut)
-                           for b in range(len(blocks))):
-            return res, taken, True
-    return res, taken, False
-
-
 RATIO_CSV_COLUMNS = ["lambda", "b", "d1", "E0", "E1", "Delta", "abs_rho",
-                     "ratio", "quad_err", "grid_n", "grid_L"]
+                     "ratio", "quad_err", "grid_n", "grid_L", "separated"]
 
 
 @dataclass
@@ -527,11 +459,14 @@ class RatioRow:
     quad_err: float
     grid_n: int
     grid_L: float
+    # E2 - E1 > SEPARATION_FACTOR * Delta0, proven by the inertia counts
+    # at E1 + SEPARATION_FACTOR * Delta0 (`SplittingResult.cluster_separated`)
+    separated: bool
 
     def as_list(self):
         return [self.lam, self.b, self.d1, self.E0, self.E1, self.delta,
                 self.abs_rho, self.ratio, self.quad_err, self.grid_n,
-                self.grid_L]
+                self.grid_L, self.separated]
 
 
 def ratio_point(params: ModelParams, n: int,
@@ -541,9 +476,10 @@ def ratio_point(params: ModelParams, n: int,
     Delta0 / (2 |rho0|).
 
     The double well is solved for its pair alone (`splitting_direct`
-    without E2), starting from E0 of the single well minus 2|rho0|, its
-    hopping estimate of the splitting, so the pair's isolation rests on
-    inertia counts instead of a computed E2."""
+    without E2), at the shift E0 of the single well plus 2|rho0|, its
+    hopping estimate of the splitting: the inertia counts there certify the
+    pair, and the counts at E1 + SEPARATION_FACTOR * Delta0 decide
+    `separated`, instead of a computed E2."""
     spec = spec if spec is not None else WellSpec.radial(params.a)
     res1, sw = single_well_ground(params, n, spec=spec, seed=seed)
     grid, params_s = sw.grid, sw.params
@@ -554,7 +490,7 @@ def ratio_point(params: ModelParams, n: int,
     dw = build_operator(params_s, grid,
                         wells=[(spec, (-d1s, 0.0)), (spec, (+d1s, 0.0))])
     split = splitting_direct(dw, seed=seed,
-                             start=res1.eigenvalues[0] - 2.0 * hop.abs_rho,
+                             start=res1.eigenvalues[0] + 2.0 * hop.abs_rho,
                              with_e2=False)
 
     ratio = split.delta / (2.0 * hop.abs_rho)
@@ -562,7 +498,12 @@ def ratio_point(params: ModelParams, n: int,
                     E0=split.energies[0], E1=split.energies[1],
                     delta=split.delta, abs_rho=hop.abs_rho, ratio=ratio,
                     quad_err=hop.quadrature_error, grid_n=grid.n,
-                    grid_L=grid.half_extent)
+                    grid_L=grid.half_extent,
+                    separated=split.cluster_separated)
+
+
+# the `separated` column of ratio.csv
+_FLAGS = {"True": True, "False": False}
 
 
 def write_ratio_csv(path, rows: Sequence[RatioRow]) -> None:
@@ -586,10 +527,13 @@ def read_ratio_csv(path) -> List[RatioRow]:
                              % (header, RATIO_CSV_COLUMNS,
                                 ", ".join(missing) or "none"))
         for rec in rd:
-            vals = [float(v) for v in rec]
+            vals = [float(v) for v in rec[:-1]]
+            if rec[-1] not in _FLAGS:
+                raise ValueError("ratio CSV: separated = %r is neither %s"
+                                 % (rec[-1], " nor ".join(_FLAGS)))
             rows.append(RatioRow(lam=vals[0], b=vals[1], d1=vals[2],
                                  E0=vals[3], E1=vals[4], delta=vals[5],
                                  abs_rho=vals[6], ratio=vals[7],
                                  quad_err=vals[8], grid_n=int(vals[9]),
-                                 grid_L=vals[10]))
+                                 grid_L=vals[10], separated=_FLAGS[rec[-1]]))
     return rows

@@ -8,6 +8,7 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from maglab import cli
 from maglab.cli import (
@@ -189,6 +190,35 @@ def test_splitting_prints_its_count_certificate(capsys):
     assert "; 2 below (E1+E2)/2 = " in line
 
 
+def test_mho_check_suite_solves_its_ground_on_two_half_size_lus(
+        monkeypatch):
+    # the oscillator's ground level is even and its next level odd: the
+    # closed-form midpoint between them counts one even and no odd level,
+    # so the ground is solved on the even block's LU, one LU alive at a time
+    lus, alive = [], []
+    splu = spla.splu
+
+    class Tracked:
+        def __init__(self, lu):
+            self._lu = lu
+            alive.append(1)
+
+        def __del__(self):
+            alive.pop()
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    def tracked_splu(A, *args, **kwargs):
+        lus.append((A.shape[0], len(alive)))
+        return Tracked(splu(A, *args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", tracked_splu)
+    rows = cli.mho_check_suite(seed=0)
+    assert all(ok for _, ok, _ in rows)
+    assert lus == [(200 * 200 // 2, 0)] * 2 and not alive
+
+
 def test_partition_check_suite_passes(capsys):
     rc = cli.main(["partition-check"])
     assert rc == EXIT_OK
@@ -217,6 +247,9 @@ def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_OK
     captured = capsys.readouterr()
     assert "cache hit" not in captured.out
+    # E2 - E1 = 0.140 crowds the pair (Delta0 = 1.395, on the n = 116 grid
+    # of the flux rule): the row says so
+    assert "separated=False" in captured.out
 
     manifest = json.loads((out / "manifest.json").read_text())
     # the BLAS thread settings seen at sweep start, unset ones as null
@@ -235,6 +268,7 @@ def test_sweep_cache_and_plot_roundtrip(tmp_path, capsys, monkeypatch):
     assert len(rows) == 2
     ratio = float(rows[1][rows[0].index("ratio")])
     assert 0.5 < ratio < 2.0
+    assert rows[1][rows[0].index("separated")] == "False"
 
     # second run: all points served from the manifest cache, which the
     # thread settings stay out of

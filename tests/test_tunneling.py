@@ -19,11 +19,10 @@ from maglab.grid_model import (
     build_operator,
     choose_grid,
 )
-from maglab import tunneling
-from maglab.spectral import (EigensolverError, _gershgorin_bound,
+from maglab import spectral, tunneling
+from maglab.spectral import (PARITY_RTOL, EigensolverError, _gershgorin_bound,
                              count_below, lowest_eigs, parity_blocks)
 from maglab.tunneling import (
-    PARITY_RTOL,
     DegenerateQuasimodeError,
     GroundStateError,
     RATIO_CSV_COLUMNS,
@@ -310,14 +309,21 @@ def test_splitting_below_a_coupling_beyond_the_stencil():
 def test_ratio_csv_roundtrip(tmp_path):
     row = RatioRow(lam=20.0, b=0.05, d1=0.39, E0=-25.2, E1=-23.7,
                    delta=1.46, abs_rho=0.7, ratio=1.04, quad_err=1e-8,
-                   grid_n=208, grid_L=2.25)
+                   grid_n=208, grid_L=2.25, separated=False)
+    rows = [row, replace(row, lam=30.0, separated=True)]
     path = tmp_path / "ratio.csv"
-    write_ratio_csv(path, [row])
-    rows = read_ratio_csv(path)
-    assert len(rows) == 1
-    assert rows[0].as_list() == pytest.approx(row.as_list())
+    write_ratio_csv(path, rows)
+    back = read_ratio_csv(path)
+    assert len(back) == 2
+    for r, r0 in zip(back, rows):
+        assert r.as_list()[:-1] == pytest.approx(r0.as_list()[:-1])
+        assert r.separated is r0.separated
     header = path.read_text().splitlines()[0]
     assert header.split(",") == RATIO_CSV_COLUMNS
+    # the flag is read as written, not as any truthy text
+    path.write_text(path.read_text().replace(",True", ",yes"))
+    with pytest.raises(ValueError, match="separated = 'yes'"):
+        read_ratio_csv(path)
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +351,7 @@ def test_splitting_carries_count_certificate(dense_b005):
 
 def test_splitting_raises_when_a_count_disagrees(monkeypatch):
     op = small_double_well(0.05)
-    monkeypatch.setattr(tunneling, "count_below", lambda M, sigma: 3)
+    monkeypatch.setattr(spectral, "_negative_pivots", lambda lu: 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EigensolverError,
@@ -358,12 +364,12 @@ def test_splitting_falls_back_when_only_the_sector_counts_disagree(
     # the sector counts are off by one, H's own count is right: the parity
     # path is not certified, and the full path's count decides
     op = small_double_well(0.05)
-    count = tunneling.count_below
+    count = spectral._negative_pivots
 
-    def wrong_on_blocks(M, sigma):
-        return count(M, sigma) + (M.shape[0] < op.dimension)
+    def wrong_on_blocks(lu):
+        return count(lu) + (lu.shape[0] < op.dimension)
 
-    monkeypatch.setattr(tunneling, "count_below", wrong_on_blocks)
+    monkeypatch.setattr(spectral, "_negative_pivots", wrong_on_blocks)
     sd = splitting_direct(op, seed=0)
     assert not sd.cluster_separated
     assert sd.path == "full" and sd.pair_counts == (2,)
@@ -378,15 +384,15 @@ def test_certified_levels_stop_at_the_first_certifying_cut(monkeypatch):
     op = small_double_well(0.05)
     blocks = parity_blocks(op.matrix)
     counted = []
-    count = tunneling.count_below
+    count = spectral.count_below
 
     def counting(M, sigma):
         counted.append(sigma)
         return count(M, sigma)
 
-    monkeypatch.setattr(tunneling, "count_below", counting)
-    res, taken, certified = tunneling._certified_levels(
-        op, blocks, (1, 1), 2, _oscillator_level(op.params), 0,
+    monkeypatch.setattr(spectral, "count_below", counting)
+    res, taken, certified = spectral._certified_levels(
+        op, blocks, (1, 1), 2, (), _oscillator_level(op.params), 0,
         lambda e: [e[1] + 2 * (e[1] - e[0]), e[1] + 1e-8, e[1] + 1.0])
     assert certified
     assert [counts for _, counts in taken] == [(2, 2), (1, 1)]
@@ -497,7 +503,7 @@ def test_pair_only_splitting_raises_when_a_count_disagrees(monkeypatch):
     # the parity path's counts disagree, so the full path is tried, and its
     # count is final
     op = small_double_well(0.05)
-    monkeypatch.setattr(tunneling, "count_below", lambda M, sigma: 3)
+    monkeypatch.setattr(spectral, "_negative_pivots", lambda lu: 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EigensolverError,
@@ -556,3 +562,88 @@ def test_ratio_point_gives_the_default_splitting():
     assert abs(row.delta - sd.delta) <= 1e-12 * sd.delta
     assert row.E0 == pytest.approx(sd.energies[0], rel=1e-12)
     assert row.E1 == pytest.approx(sd.energies[1], rel=1e-12)
+
+
+class _TrackedLU:
+    """SuperLU proxy that counts the factorizations alive."""
+    alive = 0
+
+    def __init__(self, lu):
+        self._lu = lu
+        _TrackedLU.alive += 1
+
+    def __del__(self):
+        _TrackedLU.alive -= 1
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+@pytest.mark.parametrize("lam, separation", [(20.0, (7, 7)), (22.0, (1, 1))])
+def test_ratio_point_solves_on_the_lus_that_count(monkeypatch, lam,
+                                                  separation):
+    # the benchmark's sweep points: the single well counts (1, 0) at the
+    # top of its well and the pair (1, 1) at E0 of the single well plus
+    # 2|rho0|, so each block is solved on the LU that counts it; two more
+    # LUs count at E1 + 2 Delta0, which separates the pair at lam = 22 only
+    lus, splits = [], []
+    splu = spla.splu
+
+    def tracked_splu(A, *args, **kwargs):
+        lus.append((A.shape[0], _TrackedLU.alive))
+        return _TrackedLU(splu(A, *args, **kwargs))
+
+    split = tunneling.splitting_direct
+
+    def recording(op, **kwargs):
+        splits.append((len(lus), kwargs["start"], split(op, **kwargs)))
+        return splits[-1][2]
+
+    monkeypatch.setattr(spla, "splu", tracked_splu)
+    monkeypatch.setattr(tunneling, "splitting_direct", recording)
+    row = ratio_point(ModelParams(lam=lam, b=0.05, d1=0.3, a=0.1), 184)
+    (before, start, sd), = splits
+    half = row.grid_n ** 2 // 2
+    assert lus == [(half, 0)] * 6          # one LU alive at a time
+    assert before == 2
+    assert sd.path == "parity" and sd.pair_counts == (1, 1)
+    assert sd.spectral.shifts == [start] * 2
+    assert sd.spectral.counts == [1, 1]
+    assert sd.separation_counts == separation
+    assert row.separated == sd.cluster_separated == (separation == (1, 1))
+
+
+def test_a_candidate_shift_that_miscounts_falls_back_to_the_search(
+        dense_b005):
+    # between E1 and E2 the sectors count (1, 1) and the pair is solved
+    # there; below E0 they count (0, 0), and the search gives the same pair
+    op, w = dense_b005
+    blocks = parity_blocks(op.matrix)
+    at = 0.5 * (w[1] + w[2])
+    assert [count_below(B, at) for B in blocks] == [1, 1]
+    counted = splitting_direct(op, seed=0, start=at, with_e2=False)
+    assert counted.spectral.shifts == [at, at]
+    assert counted.spectral.counts == [1, 1]
+    searched = splitting_direct(op, seed=0, start=w[0] - 1.0, with_e2=False)
+    assert all(s < w[0] for s in searched.spectral.shifts)
+    assert searched.spectral.counts == [0, 0]
+    for sd in (counted, searched):
+        assert sd.path == "parity" and sd.pair_counts == (1, 1)
+        assert sd.separation_counts == (2, 2) and not sd.cluster_separated
+        np.testing.assert_allclose(sd.energies, w[:2], rtol=1e-9)
+        assert max(full_residuals(op, sd.spectral)) <= 1e-8
+    np.testing.assert_allclose(counted.energies, searched.energies,
+                               rtol=1e-12)
+    assert abs(counted.delta - searched.delta) <= 1e-10 * searched.delta
+
+    # the single well: no level below a shift under its ground, where the
+    # even block counts 0, not 1; the search from the oscillator level
+    # gives the ground level of the shift at the top of the well
+    params = ModelParams(lam=20.0, b=0.05, d1=0.3, a=0.1)
+    res, sw = single_well_ground(params, 184, seed=0)
+    assert res.shifts == [0.0, 0.0] and res.counts == [1, 0]
+    low = spectral.certified_ground(sw, res.eigenvalues[0] - 1.0,
+                                    _oscillator_level(params), 0)
+    assert low.counts == [0] and low.shifts[0] < res.eigenvalues[0]
+    assert abs(low.eigenvalues[0] - res.eigenvalues[0]) \
+        <= 1e-12 * abs(res.eigenvalues[0])
