@@ -586,12 +586,16 @@ def test_ratio_point_solves_on_the_lus_that_count(monkeypatch, lam,
     # top of its well and the pair (1, 1) at E0 of the single well plus
     # 2|rho0|, so each block is solved on the LU that counts it; two more
     # LUs count at E1 + 2 Delta0, which separates the pair at lam = 22 only
-    lus, splits = [], []
-    splu = spla.splu
+    lus, splits, solves = [], [], []
+    splu, eigsh = spla.splu, spla.eigsh
 
     def tracked_splu(A, *args, **kwargs):
         lus.append((A.shape[0], _TrackedLU.alive))
         return _TrackedLU(splu(A, *args, **kwargs))
+
+    def recording_eigsh(A, *args, **kwargs):
+        solves.append((kwargs["k"], kwargs["which"], kwargs["sigma"]))
+        return eigsh(A, *args, **kwargs)
 
     split = tunneling.splitting_direct
 
@@ -600,12 +604,14 @@ def test_ratio_point_solves_on_the_lus_that_count(monkeypatch, lam,
         return splits[-1][2]
 
     monkeypatch.setattr(spla, "splu", tracked_splu)
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     monkeypatch.setattr(tunneling, "splitting_direct", recording)
     row = ratio_point(ModelParams(lam=lam, b=0.05, d1=0.3, a=0.1), 184)
     (before, start, sd), = splits
     half = row.grid_n ** 2 // 2
     assert lus == [(half, 0)] * 6          # one LU alive at a time
     assert before == 2
+    assert solves == [(1, "SA", 0.0)] + [(1, "SA", start)] * 2
     assert sd.path == "parity" and sd.pair_counts == (1, 1)
     assert sd.spectral.shifts == [start] * 2
     assert sd.spectral.counts == [1, 1]
