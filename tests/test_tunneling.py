@@ -653,3 +653,20 @@ def test_a_candidate_shift_that_miscounts_falls_back_to_the_search(
     assert low.counts == [0] and low.shifts[0] < res.eigenvalues[0]
     assert abs(low.eigenvalues[0] - res.eigenvalues[0]) \
         <= 1e-12 * abs(res.eigenvalues[0])
+
+
+def test_deep_single_well_is_solved_at_its_oscillator_rayleigh_quotient():
+    # at lam = 45 the well's one bound level lies far below 0, and the
+    # oscillator ground state's Rayleigh quotient R, an upper bound of E0,
+    # lies below 0: the level is counted and solved at R
+    params = ModelParams(lam=45.0, b=0.05, d1=0.3, a=0.1)
+    res, sw = single_well_ground(params, 184, seed=0)
+    psi = mho_ground_field(mho_reference(sw.params), sw.grid).flat()
+    rq = np.vdot(psi, sw.matrix @ psi).real / np.vdot(psi, psi).real
+    assert res.eigenvalues[0] < rq < 0.0
+    assert res.shifts == [rq, rq] and res.counts == [1, 0]
+    low = spectral.certified_ground(sw, res.eigenvalues[0] - 1.0,
+                                    _oscillator_level(sw.params), 0)
+    assert low.counts == [0]
+    assert abs(low.eigenvalues[0] - res.eigenvalues[0]) \
+        <= 1e-12 * abs(res.eigenvalues[0])
