@@ -64,7 +64,6 @@ class DyadicPartition:
     order: int
     chi: List[Callable] = field(default_factory=list)     # radial samplers
     psi: List[Callable] = field(default_factory=list)
-    annuli: List[tuple] = field(default_factory=list)     # support radii
 
     def scale(self, nu: int) -> float:
         """delta_nu = 2^nu * delta."""
@@ -112,14 +111,13 @@ def build_partition(delta: float, R: float) -> DyadicPartition:
     def theta_scaled(scale):
         return lambda r: _theta(np.asarray(r, dtype=float) / scale, coeffs)
 
-    chi, psi, annuli = [], [], []
+    chi, psi = [], []
     for nu in range(N + 1):
         d_nu = (2.0 ** nu) * delta
         if nu == 0:
             chi.append(theta_scaled(delta))
             psi.append(lambda r, d=delta: 1.0 - _ramp(
                 np.asarray(r, dtype=float) / d, 2.0, 3.0, coeffs))
-            annuli.append((0.0, 2 * delta))
         elif nu < N:
             def chi_nu(r, d=d_nu):
                 r = np.asarray(r, dtype=float)
@@ -131,7 +129,6 @@ def build_partition(delta: float, R: float) -> DyadicPartition:
                 return _ramp(s, 1.0 / 3.0, 0.5, coeffs) \
                     * (1.0 - _ramp(s, 2.0, 3.0, coeffs))
             psi.append(psi_nu)
-            annuli.append((d_nu / 2, 2 * d_nu))
         else:
             chi.append(lambda r, d=d_nu: 1.0 - _theta(
                 2 * np.asarray(r, dtype=float) / d, coeffs))
@@ -139,9 +136,8 @@ def build_partition(delta: float, R: float) -> DyadicPartition:
             # companions can coexist with psi_N (keeps the overlap at four)
             psi.append(lambda r, d=d_nu: _ramp(
                 2 * np.asarray(r, dtype=float) / d, 0.5, 1.0, coeffs))
-            annuli.append((d_nu / 2, math.inf))
     return DyadicPartition(delta=delta, R=R, N=N, order=SMOOTHNESS_ORDER,
-                           chi=chi, psi=psi, annuli=annuli)
+                           chi=chi, psi=psi)
 
 
 def _radial_derivative_max(f: Callable, lo: float, hi: float,

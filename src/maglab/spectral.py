@@ -10,8 +10,8 @@ with the grid reflection x -> -x split into half-size even and odd blocks
 (`parity_defect`, `parity_blocks`, `unfold_parity`).  The Riesz projector
 (`riesz_project`) is the trapezoid quadrature of (1/2pi i) * contour
 integral of the resolvent, with one complex sparse LU per contour node (each
-factorization serves a conjugate pair of nodes), and its rank is checked by
-a Hutch++ trace estimate in the same sweep.
+factorization serves a conjugate pair of nodes), and its rank is proven
+before the sweep by two inertia counts (`count_below`).
 
 Every sparse LU is SuperLU with the minimum-degree ordering of A^T + A.  The
 lattice operators are structurally symmetric 5-point matrices, where that
@@ -36,10 +36,10 @@ sigma, they are the k most negative eigenvalues of (M - sigma I)^{-1}, so
 ARPACK on that same LU with which="SA" returns them, proven the lowest by
 the count in hand (the shift-invert spectral transformation, Ericsson and
 Ruhe, Math. Comp. 35, 1980).  `_certified_levels`, the one routine behind
-every certified level, tries the caller's candidate shifts this way, and
-only when no candidate counts the wanted levels does it search: a start is
+every certified level, tries the caller's candidate shift this way, and
+only when it does not count the wanted levels does it search: a start is
 lowered until its count is 0 (`_lowest_near`), the levels nearest that
-shift are the lowest, and counts at the caller's cuts certify them.
+shift are the lowest, and counts at the caller's cut certify them.
 
 A projection is one sweep over the m/2 conjugate node pairs, factorizing
 each node and dropping its LU before the next, so one contour LU is alive at
@@ -53,16 +53,10 @@ of Pi_m^2 into a single one,
     c_j = sum_{k != j} w_k / (z_k - z_j),
 
 exactly, so each node costs one more solve on the LU in hand and nothing
-per node is stored.  The idempotence check ||Pi_m^2 f - Pi_m f|| and the
-rank check then need no second sweep: `riesz_project`, the one projection
-routine, projects the rank probes Z together with the fields f, and the
-Hutch++ range term takes Pi Q for Q = orth(Pi Z) from W = Pi^2 Z.  Q is cut
-from the SVD Pi Z = U S V* (Q = U_k, Pi Q = W V_k S_k^{-1}, directions with
-s_i below RANGE_CUTOFF * s_1 dropped), not from a QR: Pi Z has singular
-values of 1e-10 to 1e-16 beyond the enclosed levels, and dividing by them
-amplifies rounding (a QR route gave rank estimates of 3.19 and 2.0037 for a
-rank-2 projector).  The deflated Hutchinson term needs Pi applied to
-Z - Q Q* Z, which the linear trapezoid sum gives as Pi Z - (Pi Q) Q* Z.
+per node is stored, and the idempotence check ||Pi_m^2 f - Pi_m f|| needs
+no second sweep.  The rank needs none either: a circle with a real centre c
+and radius r encloses exactly count_below(c + r) - count_below(c - r)
+levels (`riesz_project`), so a wrong contour is refused after two LUs.
 """
 
 from __future__ import annotations
@@ -359,61 +353,58 @@ def _solved_below(blocks, ks: Sequence[int], sigma: float, seed: int):
 
 
 def _certified_levels(op: SparseHermitianOp, blocks, ks: Sequence[int],
-                      keep: int, shifts: Sequence[float],
-                      start: Optional[float], seed: int, cuts):
-    """(SpectralResult, taken, certified): the lowest levels of op, proven
-    by inertia counts (spectrum slicing, Parlett, The Symmetric Eigenvalue
-    Problem, ch. 3).
+                      keep: int, shift: Optional[float],
+                      start: Optional[float], seed: int, cut):
+    """(SpectralResult, (at, counts), certified): the lowest levels of op,
+    proven by inertia counts (spectrum slicing, Parlett, The Symmetric
+    Eigenvalue Problem, ch. 3).
 
     blocks are the even and odd parity blocks of op.matrix
     (`parity_blocks`), or (op.matrix,), and ks[b] levels of block b are
     wanted.  In order:
-    1. at each candidate shift in turn, each block's LU counts its levels
-       below the shift and, when the count is ks[b], solves them
-       (`_solved_below`).  At the first shift where every block counts
-       ks[b], the counts are the certificate: taken is [(shift, ks)],
-       certified is True, and no cut is counted;
-    2. with no such shift, the search: the ks[b] lowest levels of block b
-       by one shift-invert pass (`_lowest_near`) each, the first from start
-       (by default one below the first block's Gershgorin bound) and each
-       next from the previous block's shift, so that both sectors are
-       normally solved at one shift: their rounding errors are then
-       correlated and cancel in E1 - E0 (at lam = 45, b = 0.05, n = 320,
-       Delta0 moved by 8e-9 relative between two ARPACK seeds with the odd
-       shift at the even ground, and by 3e-10 with one common shift).  The
-       counts of the blocks (`count_below`) at each of cuts(levels), the
-       ascending solved levels, are kept with their cut in taken, up to the
-       first cut where they are the number of solved levels of each block
-       below it: then no level below the cut was missed, and certified is
-       True;
+    1. at the candidate shift, unless it is None, each block's LU counts its
+       levels below the shift and, when the count is ks[b], solves them
+       (`_solved_below`).  When every block counts ks[b], the counts are the
+       certificate: (at, counts) is (shift, ks), certified is True, and no
+       cut is counted;
+    2. otherwise the search: the ks[b] lowest levels of block b by one
+       shift-invert pass (`_lowest_near`) each, the first from start (by
+       default one below the first block's Gershgorin bound) and each next
+       from the previous block's shift, so that both sectors are normally
+       solved at one shift: their rounding errors are then correlated and
+       cancel in E1 - E0 (at lam = 45, b = 0.05, n = 320, Delta0 moved by
+       8e-9 relative between two ARPACK seeds with the odd shift at the even
+       ground, and by 3e-10 with one common shift).  The counts of the
+       blocks (`count_below`) at = cut(levels), the ascending solved levels,
+       are returned with it, and certified is True when they are the number
+       of solved levels of each block below it: then no level below the cut
+       was missed;
     3. the lowest keep of all solved levels, ascending, as full-size fields
        (`unfold_parity`) verified against op (`_verified_result`), with the
        shift and count of each block LU behind them.
     """
-    for shift in shifts:
+    if shift is not None:
         solved = _solved_below(blocks, ks, shift, seed)
         if solved is not None:
             res, _ = _block_result(op, blocks, solved, keep,
                                    [shift] * len(blocks), ks)
-            return res, [(shift, tuple(ks))], True
+            return res, (shift, tuple(ks)), True
     sigma = _gershgorin_bound(blocks[0]) - 1.0 if start is None else start
-    solved, at = [], []
+    solved, shifts = [], []
     for B, k in zip(blocks, ks):
         if k == 0:
             solved.append(_NONE_SOLVED)
             continue
         vals, vecs, sigma = _lowest_near(B, k, sigma, seed)
         solved.append((vals, vecs))
-        at.append(sigma)
-    res, levels = _block_result(op, blocks, solved, keep, at, [0] * len(at))
-    taken = []
-    for cut in cuts(np.array([e for e, _, _ in levels])):
-        below = tuple(count_below(B, cut) for B in blocks)
-        taken.append((cut, below))
-        if below == tuple(sum(1 for e, o, _ in levels if o == b and e < cut)
-                          for b in range(len(blocks))):
-            return res, taken, True
-    return res, taken, False
+        shifts.append(sigma)
+    res, levels = _block_result(op, blocks, solved, keep, shifts,
+                                [0] * len(shifts))
+    at = cut(np.array([e for e, _, _ in levels]))
+    below = tuple(count_below(B, at) for B in blocks)
+    solved_below = tuple(sum(1 for e, o, _ in levels if o == b and e < at)
+                         for b in range(len(blocks)))
+    return res, (at, below), below == solved_below
 
 
 def _block_result(op: SparseHermitianOp, blocks, solved, keep: int,
@@ -450,11 +441,10 @@ def certified_ground(op: SparseHermitianOp, shift: float,
     if blocks is None:
         raise ValueError("the operator does not commute with x -> -x "
                          "(||H - PHP||_max = %.3g)" % defect)
-    res, taken, certified = _certified_levels(
-        op, blocks, (1, 0), 1, [shift], start, seed,
-        lambda e: [e[0] + CUT_RTOL * max(abs(e[0]), 1.0)])
+    res, (cut, (even, odd)), certified = _certified_levels(
+        op, blocks, (1, 0), 1, shift, start, seed,
+        lambda e: e[0] + CUT_RTOL * max(abs(e[0]), 1.0))
     if not certified:
-        (cut, (even, odd)), = taken
         raise EigensolverError(
             "even ground level %.17g is not the lowest: %d even and %d odd "
             "level(s) lie below %.17g, where it puts 1 and 0"
@@ -465,7 +455,8 @@ def certified_ground(op: SparseHermitianOp, shift: float,
 @dataclass
 class Contour:
     """Circle z(theta) = center + radius * exp(i theta), trapezoid nodes.
-    The centre must be real: `_sweep` pairs each node with its conjugate."""
+    The centre must be real: `_sweep` pairs each node with its conjugate,
+    and `riesz_project` counts the levels on the diameter it spans."""
 
     center: complex
     radius: float
@@ -543,47 +534,9 @@ def _add_node(acc1, acc2, xi, w, c, r1, r2):
     acc2 += r2
 
 
-def _rank_probes(N: int, probes: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.choice([-1.0, 1.0], size=(N, probes)).astype(complex)
-
-
-# The range Q of Y = Pi Z in the Hutch++ estimate keeps the singular
-# directions of Y with s_i > RANGE_CUTOFF * s_1.  Pi Q is W V_k / S_k with
-# W = Pi^2 Z, so a kept direction divides by s_i; the dropped ones are the
-# quadrature leakage outside the enclosed levels (s_i ~ 1e-10 to 1e-16),
-# where that division would amplify rounding into the trace.
-RANGE_CUTOFF = 1e-6
-
-
-def _deflated_trace(Z: np.ndarray, Y: np.ndarray, W: np.ndarray) -> float:
-    """Hutch++ trace of Pi from Y = Pi Z and W = Pi^2 Z.
-
-    Q = U_k and Pi Q = W V_k S_k^{-1} from the SVD Y = U S V* cut at
-    RANGE_CUTOFF.  The range term tr(Q* Pi Q) carries the whole trace of a
-    projector of rank <= probes; the Hutchinson term on the deflated probes
-    G = Z - Q (Q* Z) only corrects quadrature leakage.  Pi G is
-    Y - (Pi Q)(Q* Z): the trapezoid Pi_m is linear, so no sweep over G or Q
-    is needed.
-    """
-    U, s, Vh = np.linalg.svd(Y, full_matrices=False)
-    k = int(np.count_nonzero(s > RANGE_CUTOFF * s[0]))
-    Q = U[:, :k]
-    PQ = W @ (Vh[:k].conj().T / s[:k])
-    C = Q.conj().T @ Z
-    G = Z - Q @ C
-    PG = Y - PQ @ C
-    t_range = float(np.trace(Q.conj().T @ PQ).real)
-    t_resid = float(np.mean(np.sum(np.conj(G) * PG, axis=0).real))
-    return t_range + t_resid
-
-
 class ClusterError(RuntimeError):
     """The contour does not enclose a spectral cluster of the expected rank."""
 
-
-# the largest |rank estimate - rank| that `riesz_project` accepts
-RANK_TOL = 0.1
 
 # the projection is accepted at the first node count m whose idempotence
 # defect ||Pi_m^2 f - Pi_m f|| / ||f|| is at most IDEMPOTENCE_TOL, after at
@@ -593,41 +546,35 @@ MAX_DOUBLINGS = 4
 
 
 def riesz_project(op: SparseHermitianOp, contour: Contour,
-                  fields: Sequence[Field], rank: int, probes: int = 8,
-                  seed: int = 0):
-    """(projected fields, rank estimate, nodes, idempotence defect): the
-    Riesz projector Pi applied to a list of Fields, and the Hutch++ trace of
-    Pi from `probes` random probes Z, in one sweep over the nodes that
-    projects [Z | f] and gives Pi^2 of both.
+                  fields: Sequence[Field], rank: int):
+    """(projected fields, enclosed levels, nodes, idempotence defect): the
+    Riesz projector Pi applied to a list of Fields.
 
     rank is the number of levels the caller means the contour to enclose (2
-    for the double-well pair in `tunneling.quasimodes`).  A ClusterError is
-    raised when the estimate is farther than RANK_TOL from rank, before any
-    doubling, so that a wrong contour fails before more sweeps are spent on
-    it.  The node count starts at contour.quadrature_nodes and is doubled,
-    one more sweep over the fields alone each time, until the idempotence
-    defect ||Pi_m^2 f - Pi_m f|| / ||f|| is at most IDEMPOTENCE_TOL for every
-    field; nodes is the m used and the defect the largest over the fields at
-    that m.
+    for the double-well pair in `tunneling.quasimodes`).  The circle about
+    the real centre c with radius r encloses exactly
+    count_below(c + r) - count_below(c - r) levels, two inertia counts on
+    full-size LUs; a ClusterError is raised when that is not rank, before
+    any contour LU is made.  The fields are then projected by one sweep at
+    m = contour.quadrature_nodes nodes, doubled, one more sweep each time,
+    until the idempotence defect ||Pi_m^2 f - Pi_m f|| / ||f|| is at most
+    IDEMPOTENCE_TOL for every field; nodes is the m used and the defect the
+    largest over the fields at that m.
     """
+    c, r = contour.center.real, contour.radius
+    enclosed = count_below(op.matrix, c + r) - count_below(op.matrix, c - r)
+    if enclosed != rank:
+        raise ClusterError("the contour (centre %s, radius %g) encloses %d "
+                           "levels, not %d" % (contour.center, r, enclosed,
+                                               rank))
     vecs = np.stack([f.flat() for f in fields], axis=1)
-    m = contour.quadrature_nodes
-    Z = _rank_probes(vecs.shape[0], probes, seed)
-    P1, P2 = _sweep(op, contour, np.hstack([Z, vecs]), m)
-    estimate = _deflated_trace(Z, P1[:, :probes], P2[:, :probes])
-    if abs(estimate - rank) > RANK_TOL:
-        raise ClusterError("projector rank estimate %.3f is not %d "
-                           "(contour center %s radius %g)"
-                           % (estimate, rank, contour.center, contour.radius))
-    p1, p2 = P1[:, probes:], P2[:, probes:]
     norms = np.linalg.norm(vecs, axis=0)
     for doubling in range(MAX_DOUBLINGS + 1):
-        if doubling:
-            m *= 2
-            p1, p2 = _sweep(op, contour, vecs, m)
+        m = contour.quadrature_nodes * 2 ** doubling
+        p1, p2 = _sweep(op, contour, vecs, m)
         defect = float(np.max(np.linalg.norm(p2 - p1, axis=0) / norms))
         if defect <= IDEMPOTENCE_TOL:
             return ([field_from_flat(op.grid, p1[:, j])
-                     for j in range(p1.shape[1])], estimate, m, defect)
+                     for j in range(p1.shape[1])], enclosed, m, defect)
     raise RuntimeError("projector idempotence defect %.3g > %.3g even at "
                        "m=%d nodes" % (defect, IDEMPOTENCE_TOL, m))

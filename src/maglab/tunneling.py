@@ -12,7 +12,7 @@ solved and proven by one routine, `spectral._certified_levels`: at a candidate
 shift where each block's inertia count is the number of wanted levels, those
 levels are solved on the LUs that count them; otherwise one shift-invert pass
 per block at a near shift under which a count finds no level, then counts per
-block at the caller's cuts.  A sweep point (`ratio_point`) solves for E0, E1
+block at the caller's cut.  A sweep point (`ratio_point`) solves for E0, E1
 alone, each block at the single well's ground plus the hopping estimate
 2|rho0| of the splitting, and counts prove the pair isolated and tell whether
 it is separated without computing E2.  The quasimodes are Riesz
@@ -233,11 +233,8 @@ def hopping_coefficient(params: ModelParams, phi0: Field,
 class QuasimodePair:
     psi_minus: Field
     psi_plus: Field
-    norm_minus: float
-    norm_plus: float
-    cross_overlap: float
     contour: Contour
-    rank_estimate: float
+    rank_estimate: float         # the levels the contour encloses, counted
     nodes: int                   # quadrature nodes m used, after any doubling
     idempotence_defect: float    # max over the pair of ||Pi^2 f - Pi f||/||f||
 
@@ -252,12 +249,13 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     e.g. the circle about (E0 + E1)/2 reaching half way to E2, from
     `splitting_direct`.
 
-    The projector's rank is estimated from rank_probes random probes in the
-    same sweep over the m/2 contour nodes that projects the pair
-    (`spectral.riesz_project`): m/2 LUs, one alive at a time.  A
-    spectral.ClusterError is raised unless the estimate is within
-    spectral.RANK_TOL of 2; a failed idempotence check doubles m for the
-    pair alone.
+    `spectral.riesz_project` counts the levels inside the contour by two
+    inertia counts and raises spectral.ClusterError unless they are 2,
+    before any contour LU; then one sweep over the m/2 contour nodes
+    projects the pair (m/2 LUs, one alive at a time), and a failed
+    idempotence check doubles m.  rank_estimate is that count, exactly 2.0.
+    rank_probes and seed are not used, and no result depends on them; they
+    are kept only for the callers that pass them.
     """
     spec = spec if spec is not None else WellSpec.radial(params.a)
     grid = op.grid
@@ -272,14 +270,10 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     phi_minus = magnetic_translate(base, (-d1s, 0.0), blam)
 
     (psi_minus, psi_plus), rank, nodes, defect = riesz_project(
-        op, contour, [phi_minus, phi_plus], rank=2, probes=rank_probes,
-        seed=seed)
-    return QuasimodePair(
-        psi_minus=psi_minus, psi_plus=psi_plus,
-        norm_minus=psi_minus.norm(), norm_plus=psi_plus.norm(),
-        cross_overlap=abs(psi_minus.inner(psi_plus)),
-        contour=contour, rank_estimate=rank, nodes=nodes,
-        idempotence_defect=defect)
+        op, contour, [phi_minus, phi_plus], rank=2)
+    return QuasimodePair(psi_minus=psi_minus, psi_plus=psi_plus,
+                         contour=contour, rank_estimate=float(rank),
+                         nodes=nodes, idempotence_defect=defect)
 
 
 @dataclass
@@ -413,32 +407,31 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
     M = op.matrix
     start = _oscillator_level(op.params) if start is None else start
     k = 2 if with_e2 else 1
-    shifts = () if with_e2 else (start,)
+    shift = None if with_e2 else start
 
-    def cuts(e):
+    def cut(e):
         if with_e2:
-            return [0.5 * (e[1] + e[2])]
-        return [e[1] + CUT_RTOL * max(abs(e[1]), 1.0)]
+            return 0.5 * (e[1] + e[2])
+        return e[1] + CUT_RTOL * max(abs(e[1]), 1.0)
 
     blocks, defect = _parity_sectors(M)
     path, certified = "parity", False
     if blocks is not None:
-        res, taken, certified = _certified_levels(
-            op, blocks, (k, k), k + 1, shifts, start, seed, cuts)
-        certified = certified and taken[-1][1] == (1, 1)
+        res, (at, counts), certified = _certified_levels(
+            op, blocks, (k, k), k + 1, shift, start, seed, cut)
+        certified = certified and counts == (1, 1)
     if not certified:
         path, blocks = "full", (M,)
-        res, taken, certified = _certified_levels(
-            op, blocks, (k + 1,), k + 1, shifts, start, seed, cuts)
+        res, (at, counts), certified = _certified_levels(
+            op, blocks, (k + 1,), k + 1, shift, start, seed, cut)
     e = res.eigenvalues
     delta = e[1] - e[0]
-    cut, counts = taken[-1]
     if not certified:
         raise EigensolverError(
             "%d level(s) lie below %s = %.17g, where the computed levels "
             "%s = %s put 2"
             % (sum(counts), "(E1 + E2)/2" if with_e2 else
-               "E1 + %g * max(|E1|, 1)" % CUT_RTOL, cut,
+               "E1 + %g * max(|E1|, 1)" % CUT_RTOL, at,
                ", ".join("E%d" % j for j in range(len(e))),
                ", ".join("%.17g" % x for x in e)))
     if with_e2:
@@ -540,6 +533,10 @@ def read_ratio_csv(path) -> List[RatioRow]:
                              % (header, RATIO_CSV_COLUMNS,
                                 ", ".join(missing) or "none"))
         for rec in rd:
+            if len(rec) != len(RATIO_CSV_COLUMNS):
+                raise ValueError("ratio CSV: line %d has %d field(s), "
+                                 "expected %d" % (rd.line_num, len(rec),
+                                                  len(RATIO_CSV_COLUMNS)))
             vals = [float(v) for v in rec[:-1]]
             if rec[-1] not in _FLAGS:
                 raise ValueError("ratio CSV: separated = %r is neither %s"

@@ -1,10 +1,10 @@
 """End-to-end acceptance criteria.
 
 Each test pins one headline guarantee of the package with frozen parameters,
-seeds, and tolerances.  The full file takes about 47 s on a 2-vCPU Xeon VM
+seeds, and tolerances.  The full file takes about 35 s on a 2-vCPU Xeon VM
 with BLAS threads not pinned; the heavy items are the splitting-vs-hopping
-ratio sweep (test 6, about 25 s), the 2x2 splitting identity (test 5, about
-13 s) and the fine-lattice resolvent residual (test 4, about 6 s).
+ratio sweep (test 6, about 19 s), the 2x2 splitting identity (test 5, about
+10 s) and the fine-lattice resolvent residual (test 4, about 5 s).
 """
 
 import math

@@ -342,6 +342,20 @@ def test_plot_rejects_broken_csv_schema(tmp_path, capsys):
     assert "missing column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, fields", [("", 0), ("30,0.05,True", 3)])
+def test_plot_rejects_a_blank_or_short_csv_row(tmp_path, capsys, row,
+                                               fields):
+    out = tmp_path / "res"
+    os.makedirs(out)
+    (out / "ratio.csv").write_text(
+        ",".join(cli.RATIO_CSV_COLUMNS) + "\n" + row + "\n")
+    cfg = write(tmp_path / "c.ini", "[output]\ndir = %s\n" % out)
+    rc = cli.main(["plot", "--config", cfg])
+    assert rc == EXIT_CONFIG
+    assert "line 2 has %d field(s), expected 12" % fields \
+        in capsys.readouterr().err
+
+
 def test_flux_refinement_helper():
     params = ModelParams(lam=40.0, b=0.1, d1=0.4, a=0.15)
     fine, _ = lattice_grid(params, 32)

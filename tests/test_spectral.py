@@ -14,7 +14,6 @@ from maglab.spectral import (
     Contour,
     EigensolverError,
     _gershgorin_bound,
-    _rank_probes,
     _sweep,
     _verified_result,
     count_below,
@@ -164,9 +163,8 @@ def test_projector_rank_estimate_counts_enclosed_levels(enclosed):
     w, _ = dense_eigs(op)
     contour = cluster_contour(w, enclosed, m=48)
     f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
-    _, est, _, _ = riesz_project(op, contour, [f], rank=enclosed, probes=6,
-                                 seed=0)
-    assert abs(est - enclosed) < 0.05
+    _, est, _, _ = riesz_project(op, contour, [f], rank=enclosed)
+    assert est == enclosed
 
 
 def pair_op():
@@ -183,38 +181,6 @@ def pair_contour(w, m=32):
     radius = np.sqrt((w[1] - center) * (w[2] - center))
     return Contour(center=complex(center), radius=float(radius),
                    quadrature_nodes=m)
-
-
-def test_fused_sweeps_match_separate_projection_and_rank():
-    op = pair_op()
-    w, _ = dense_eigs(op)
-    contour = pair_contour(w)
-    rng = np.random.default_rng(3)
-    n = op.grid.n
-    fs = [Field(op.grid, rng.standard_normal((n, n))
-                + 1j * rng.standard_normal((n, n))) for _ in range(2)]
-    fused, est, nodes, _ = riesz_project(op, contour, fs, rank=2, probes=6,
-                                         seed=4)
-    assert nodes == 32
-    assert abs(est - 2.0) < 1e-6
-
-    def project(v):
-        return _sweep(op, contour, v, 32)[0]
-
-    # the fields projected by a sweep over them alone
-    ref = project(np.stack([f.flat() for f in fs], axis=1))
-    for j, got in enumerate(fused):
-        assert np.linalg.norm(got.flat() - ref[:, j]) \
-            <= 1e-12 * np.linalg.norm(ref[:, j])
-
-    # the Hutch++ estimate from three passes of Pi alone: over Z, over
-    # Q = orth(Pi Z) from a QR, and over the deflated probes G
-    Z = _rank_probes(op.dimension, 6, 4)
-    Q, _ = np.linalg.qr(project(Z))
-    G = Z - Q @ (Q.conj().T @ Z)
-    three_pass = (np.trace(Q.conj().T @ project(Q)).real
-                  + np.mean(np.sum(np.conj(G) * project(G), axis=0).real))
-    assert abs(est - three_pass) <= 1e-12 * three_pass
 
 
 def test_sweep_squares_the_projector_by_the_resolvent_identity():
@@ -242,11 +208,11 @@ def test_idempotence_doubling_costs_one_sweep_per_node_count(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
-    _, est, nodes, defect = riesz_project(op, contour, [f], rank=2,
-                                          probes=6)
+    _, est, nodes, defect = riesz_project(op, contour, [f], rank=2)
     assert nodes == 32 and defect <= 1e-8
-    assert len(calls) == 16 // 2 + 16       # m/2 at m = 16, then m/2 at 32
-    assert abs(est - 2.0) < 0.1
+    # two counts, then m/2 at m = 16 and m/2 at 32
+    assert len(calls) == 2 + 16 // 2 + 16
+    assert est == 2
 
 
 def test_fused_sweeps_reject_wrong_rank_before_doubling(monkeypatch):
@@ -257,14 +223,14 @@ def test_fused_sweeps_reject_wrong_rank_before_doubling(monkeypatch):
     splu = spla.splu
 
     def counting_splu(A, *args, **kwargs):
-        calls.append(1)
+        calls.append("count" if "diag_pivot_thresh" in kwargs else "node")
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
-    with pytest.raises(ClusterError, match="rank estimate 3.0"):
-        riesz_project(op, contour, [f], rank=2, probes=6)
-    assert len(calls) == contour.quadrature_nodes // 2   # one sweep of m/2
+    with pytest.raises(ClusterError, match="encloses 3 levels, not 2"):
+        riesz_project(op, contour, [f], rank=2)
+    assert calls == ["count", "count"]      # no contour LU
 
 
 class _TrackedLU:
@@ -278,8 +244,8 @@ class _TrackedLU:
     def __del__(self):
         _TrackedLU.alive -= 1
 
-    def solve(self, *args, **kwargs):
-        return self._lu.solve(*args, **kwargs)
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
 
 
 def test_quasimodes_factorizes_each_node_once(monkeypatch):
@@ -295,10 +261,10 @@ def test_quasimodes_factorizes_each_node_once(monkeypatch):
     monkeypatch.setattr(spla, "splu", tracked_splu)
     qm = quasimodes(op.params, op, contour=pair_contour(w, m=32),
                     rank_probes=6, seed=0)
-    # one sweep over the m/2 = 16 nodes for [probes | pair], with no
-    # doubling and one LU alive at a time
-    assert alive_at_call == [0] * 16 and _TrackedLU.alive == 0
-    assert abs(qm.rank_estimate - 2.0) < 1e-6
+    # two counts, then one sweep over the m/2 = 16 nodes for the pair, with
+    # no doubling and one LU alive at a time
+    assert alive_at_call == [0] * 18 and _TrackedLU.alive == 0
+    assert qm.rank_estimate == 2.0
     assert qm.nodes == 32
     assert 0.0 <= qm.idempotence_defect <= 1e-8
 

@@ -20,8 +20,9 @@ from maglab.grid_model import (
     choose_grid,
 )
 from maglab import spectral, tunneling
-from maglab.spectral import (PARITY_RTOL, EigensolverError, _gershgorin_bound,
-                             count_below, lowest_eigs, parity_blocks)
+from maglab.spectral import (PARITY_RTOL, Contour, EigensolverError,
+                             _gershgorin_bound, count_below, lowest_eigs,
+                             parity_blocks)
 from maglab.tunneling import (
     DegenerateQuasimodeError,
     GroundStateError,
@@ -29,9 +30,11 @@ from maglab.tunneling import (
     RatioRow,
     _oscillator_level,
     cutoff_field,
+    gram_and_m,
     hopping_coefficient,
     mho_ground_field,
     mho_reference,
+    quasimodes,
     ratio_point,
     read_ratio_csv,
     reduction_from_matrices,
@@ -378,9 +381,10 @@ def test_splitting_falls_back_when_only_the_sector_counts_disagree(
     assert sd.spectral.shifts == ref.shifts
 
 
-def test_certified_levels_stop_at_the_first_certifying_cut(monkeypatch):
-    # at this size E2 crowds the pair: E1 + 2 Delta0 has two levels per
-    # sector below it, E1 + 1e-8 one; the third cut is never counted
+def test_certified_levels_count_once_at_the_cut(monkeypatch):
+    # at this size E2 crowds the pair: E1 + 1e-8 has one level per sector
+    # below it and certifies the pair, E1 + 2 Delta0 has two and does not;
+    # either cut costs one count per block
     op = small_double_well(0.05)
     blocks = parity_blocks(op.matrix)
     counted = []
@@ -391,13 +395,17 @@ def test_certified_levels_stop_at_the_first_certifying_cut(monkeypatch):
         return count(M, sigma)
 
     monkeypatch.setattr(spectral, "count_below", counting)
-    res, taken, certified = spectral._certified_levels(
-        op, blocks, (1, 1), 2, (), _oscillator_level(op.params), 0,
-        lambda e: [e[1] + 2 * (e[1] - e[0]), e[1] + 1e-8, e[1] + 1.0])
-    assert certified
-    assert [counts for _, counts in taken] == [(2, 2), (1, 1)]
-    assert len(counted) == 4
-    assert len(res.eigenvalues) == 2 and len(res.shifts) == 2
+    for cut, counts, certified in (
+            (lambda e: e[1] + 1e-8, (1, 1), True),
+            (lambda e: e[1] + 2 * (e[1] - e[0]), (2, 2), False)):
+        counted.clear()
+        res, (at, below), ok = spectral._certified_levels(
+            op, blocks, (1, 1), 2, None, _oscillator_level(op.params), 0,
+            cut)
+        assert (below, ok) == (counts, certified)
+        assert counted == [at, at]
+        assert at == cut(np.array(res.eigenvalues))
+        assert len(res.eigenvalues) == 2 and len(res.shifts) == 2
 
 
 def test_single_well_refuses_an_odd_ground_level(monkeypatch):
@@ -670,3 +678,26 @@ def test_deep_single_well_is_solved_at_its_oscillator_rayleigh_quotient():
     assert low.counts == [0]
     assert abs(low.eigenvalues[0] - res.eigenvalues[0]) \
         <= 1e-12 * abs(res.eigenvalues[0])
+
+
+def test_quasimodes_count_the_pair_at_the_benchmark_geometry():
+    # the 2x2 identity at lam = 16 on n = 136, the benchmark's point: the
+    # two inertia counts put exactly the pair inside the contour, and the
+    # Gramian defect lies within its budget 5 / sqrt(lam)
+    a = 0.13
+    params = ModelParams(lam=16.0, b=0.05, d1=3 * a, a=a)
+    spec = WellSpec.radial(a)
+    grid = choose_grid(params, 136, double_well=True, pad=0.0)
+    params = replace(params, d1=float(grid.snap([params.d1, 0.0])[0]))
+    op = build_operator(params, grid, wells=[(spec, (-params.d1, 0.0)),
+                                             (spec, (params.d1, 0.0))])
+    sd = splitting_direct(op, seed=0)
+    e0, e1, e2 = sd.energies
+    center = (e0 + e1) / 2
+    contour = Contour(center=complex(center),
+                      radius=float(0.5 * (e2 - center)), quadrature_nodes=32)
+    qm = quasimodes(params, op, spec=spec, contour=contour)
+    assert qm.rank_estimate == 2.0
+    red = gram_and_m(qm.psi_minus, qm.psi_plus, op)
+    assert red.gram_defect <= red.gram_budget
+    assert abs(red.splitting - sd.delta) <= 1e-6 * sd.delta
