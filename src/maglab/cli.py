@@ -292,7 +292,7 @@ def mho_check_suite(seed: int = 0) -> List[Tuple[str, bool, str]]:
     # one even and no odd level of the parity blocks
     res = certified_ground(
         op, float(np.real(p.E0 + p.lam * (p.f_plus - p.f_minus) / 4.0)),
-        None, seed)
+        seed)
     e_exact = 30.0 * math.sqrt(10.0) / 2.0
     rel = abs(res.eigenvalues[0] - e_exact) / e_exact
     rows.append(("ground energy vs closed form", rel <= 5e-3,

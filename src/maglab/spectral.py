@@ -2,7 +2,7 @@
 
 The eigensolver is ARPACK in shift-invert mode with a sparse LU, on every grid:
 `_arpack` is the one path to it, on an LU that has counted the levels below
-its shift (`_lowest_near`, `_solved_below`).  Every lattice matrix is
+its shift (`_lowest_levels`).  Every lattice matrix is
 complex128, even at b = 0, and scipy's `eigsh` hands a complex matrix to
 `eigs`, so each pass is ARPACK's Arnoldi iteration (znaupd), not Lanczos, with
 scipy's default ncv = max(2k + 1, 20) basis vectors.  Operators that commute
@@ -35,11 +35,13 @@ A count is itself a certificate.  When exactly k levels of a block lie below
 sigma, they are the k most negative eigenvalues of (M - sigma I)^{-1}, so
 ARPACK on that same LU with which="SA" returns them, proven the lowest by
 the count in hand (the shift-invert spectral transformation, Ericsson and
-Ruhe, Math. Comp. 35, 1980).  `_certified_levels`, the one routine behind
-every certified level, tries the caller's candidate shift this way, and
-only when it does not count the wanted levels does it search: a start is
-lowered until its count is 0 (`_lowest_near`), the levels nearest that
-shift are the lowest, and counts at the caller's cut certify them.
+Ruhe, Math. Comp. 35, 1980); when none lies below sigma, the k levels
+nearest it are the lowest.  One loop (`_lowest_levels`) serves every solve:
+it lowers the caller's shift until the count is exactly k or 0 and solves
+on that LU.  `_certified_levels`, the routine behind every certified level,
+runs it per block; when every block counts its wanted levels at one shift,
+those counts are the certificate, and otherwise counts at the caller's cut
+are.
 
 A projection is one sweep over the m/2 conjugate node pairs, factorizing
 each node and dropping its LU before the next, so one contour LU is alive at
@@ -62,7 +64,7 @@ levels (`riesz_project`), so a wrong contour is refused after two LUs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,8 +87,10 @@ class SpectralResult:
     # the shift of each block LU behind the values (a block is a parity
     # block or the whole matrix), and beside it that block's count of levels
     # below the shift, by the negative pivots of the LU or, as 0, by the
-    # Gershgorin bound at or above it: 0 where the values were searched from
-    # below, the number of its values where the LU counted and solved them
+    # Gershgorin bound at or above it: the number of its values where they
+    # lie below the shift, 0 where they lie above it (a block with no value
+    # wanted is listed when it was counted, at the shift of the blocks
+    # before it)
     shifts: List[float] = field(default_factory=list)
     counts: List[int] = field(default_factory=list)
 
@@ -139,14 +143,7 @@ def count_below(M, sigma: float) -> int:
     return _negative_pivots(_factor_hermitian(_shifted(M, sigma)))
 
 
-def _factor_below(M, sigma: float, bound: float):
-    """(LU of M - sigma I, eigenvalues of M below sigma); the count is
-    skipped, as 0, when sigma lies at or below the Gershgorin bound."""
-    lu = _factor_hermitian(_shifted(M, sigma))
-    return lu, (0 if sigma <= bound else _negative_pivots(lu))
-
-
-def _arpack(M, k: int, sigma: float, lu, seed: int, which: str = "LM"):
+def _arpack(M, k: int, sigma: float, lu, seed: int, which: str):
     """(vals, vecs): k eigenpairs of M, ascending, by ARPACK in shift-invert
     mode on the given LU of M - sigma I: with which="LM" the k nearest
     sigma, with which="SA" the k nearest below it (when k or more lie
@@ -167,23 +164,32 @@ def _arpack(M, k: int, sigma: float, lu, seed: int, which: str = "LM"):
     return vals[order], vecs[:, order]
 
 
-def _lowest_near(M, k: int, start: float, seed: int):
-    """(vals, vecs, sigma): the k lowest eigenpairs of the Hermitian M by
-    one shift-invert pass at the first of sigma = start, start - s,
-    start - 3s, start - 7s, ... (s = 1/64 of start's height above the
-    Gershgorin bound, and never below the bound minus 1) with no eigenvalue
-    below it; each shift tried costs one LU, and the last one serves ARPACK.
+def _lowest_levels(M, k: int, sigma: float, seed: int):
+    """(vals, vecs, sigma, below): the k lowest eigenpairs of the Hermitian
+    M, ascending, by one shift-invert pass at the first of sigma, sigma - s,
+    sigma - 3s, sigma - 7s, ... (s = 1/64 of sigma's height above the
+    Gershgorin bound, and never below the bound minus 1) whose LU counts
+    exactly k or no eigenvalues below it (below).  At k the pass takes the
+    k levels below the shift (which="SA"), at 0 the k nearest it; either
+    way the count proves them the lowest.  Each shift tried costs one LU,
+    and the last one serves ARPACK.
     """
     bound = _gershgorin_bound(M)
-    sigma, step = start, (start - bound) / 64.0
-    lu, below = _factor_below(M, sigma, bound)
-    while below:
+    step = (sigma - bound) / 64.0
+    while True:
+        lu = _factor_hermitian(_shifted(M, sigma))
+        below = 0 if sigma <= bound else _negative_pivots(lu)
+        if below in (0, k):
+            break
         lu = None                    # freed before the next one is made
         sigma = max(sigma - step, bound - 1.0)
         step *= 2.0
-        lu, below = _factor_below(M, sigma, bound)
-    vals, vecs = _arpack(M, k, sigma, lu, seed)
-    return vals, vecs, sigma
+    vals, vecs = _arpack(M, k, sigma, lu, seed, "SA" if below else "LM")
+    if below and np.any(vals >= sigma):
+        raise EigensolverError(
+            "ARPACK returned levels %s, not all below the shift %.17g "
+            "that counts %d" % (vals, sigma, k))
+    return vals, vecs, sigma, below
 
 
 def _verified_result(op: SparseHermitianOp, vals, vecs,
@@ -240,25 +246,26 @@ def _verified_result(op: SparseHermitianOp, vals, vecs,
 def lowest_eigs(op: SparseHermitianOp, k: int, seed: int = 0,
                 start: float = None) -> SpectralResult:
     """k smallest eigenvalues with residual-verified eigenvectors, by one
-    shift-invert pass (`_lowest_near`).
+    shift-invert pass (`_lowest_levels`).
 
     Deterministic for a given seed (the seed fixes ARPACK's starting vector;
     the iteration is Arnoldi on the complex lattice matrices, see the module
     docstring).  The shift search begins at start, by default one below the
     Gershgorin bound of the matrix, which needs no count.  A start inside the
-    spectrum is lowered until the inertia count on the LU that serves the solve
-    (`count_below`) puts no eigenvalue below it, so the k values nearest the
-    shift are the k lowest.  A shift close to the low cluster greatly reduces
-    the absolute eigenvalue error (~eps * |E - sigma|), which matters when the
-    quantity of interest is a tiny eigenvalue difference.
+    spectrum is lowered until the inertia count on the LU that serves the
+    solve (`count_below`) puts exactly k or no eigenvalues below it, so the k
+    values below or nearest the shift are the k lowest.  A shift close to the
+    low cluster greatly reduces the absolute eigenvalue error
+    (~eps * |E - sigma|), which matters when the quantity of interest is a
+    tiny eigenvalue difference.
     """
     M = op.matrix
     if k >= M.shape[0]:
         raise ValueError("k must be much smaller than the dimension")
     if start is None:
         start = _gershgorin_bound(M) - 1.0
-    vals, vecs, sigma = _lowest_near(M, k, start, seed)
-    return _verified_result(op, vals, vecs, shifts=[sigma], counts=[0])
+    vals, vecs, sigma, below = _lowest_levels(M, k, start, seed)
+    return _verified_result(op, vals, vecs, shifts=[sigma], counts=[below])
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +316,9 @@ def unfold_parity(u: np.ndarray, sign: int) -> np.ndarray:
 # the grid coordinates leaves defects of ~1e-15 relative, a shifted gauge
 # origin or unequal wells O(1)
 PARITY_RTOL = 1e-13
-# a computed ground level E found by the search is certified by the counts at
-# E + CUT_RTOL * max(|E|, 1): above its rounding error (~1e-12 absolute at
-# lam <= 45), below the next level, O(1) away
+# a computed ground level E that no shift counts alone is certified by the
+# counts at E + CUT_RTOL * max(|E|, 1): above its rounding error (~1e-12
+# absolute at lam <= 45), below the next level, O(1) away
 CUT_RTOL = 1e-8
 
 
@@ -324,37 +331,8 @@ def _parity_sectors(M):
     return parity_blocks(M), defect
 
 
-# a block none of whose levels are wanted
-_NONE_SOLVED = (np.empty(0), None)
-
-
-def _solved_below(blocks, ks: Sequence[int], sigma: float, seed: int):
-    """[(vals, vecs)] per block: the ks[b] levels of block b below sigma,
-    solved (ARPACK, which="SA") on the LU that counts exactly ks[b] of them
-    there; None at the first block whose count is not ks[b].
-
-    One block LU is alive at a time: each is dropped before the next block
-    is factorized.
-    """
-    solved = []
-    for B, k in zip(blocks, ks):
-        lu, below = _factor_below(B, sigma, _gershgorin_bound(B))
-        if below != k:
-            return None
-        vals, vecs = (_arpack(B, k, sigma, lu, seed, which="SA") if k else
-                      _NONE_SOLVED)
-        lu = None
-        if np.any(vals >= sigma):
-            raise EigensolverError(
-                "ARPACK returned levels %s, not all below the shift %.17g "
-                "that counts %d" % (vals, sigma, k))
-        solved.append((vals, vecs))
-    return solved
-
-
 def _certified_levels(op: SparseHermitianOp, blocks, ks: Sequence[int],
-                      keep: int, shift: Optional[float],
-                      start: Optional[float], seed: int, cut):
+                      keep: int, shift: float, seed: int, cut):
     """(SpectralResult, (at, counts), certified): the lowest levels of op,
     proven by inertia counts (spectrum slicing, Parlett, The Symmetric
     Eigenvalue Problem, ch. 3).
@@ -362,87 +340,73 @@ def _certified_levels(op: SparseHermitianOp, blocks, ks: Sequence[int],
     blocks are the even and odd parity blocks of op.matrix
     (`parity_blocks`), or (op.matrix,), and ks[b] levels of block b are
     wanted.  In order:
-    1. at the candidate shift, unless it is None, each block's LU counts its
-       levels below the shift and, when the count is ks[b], solves them
-       (`_solved_below`).  When every block counts ks[b], the counts are the
-       certificate: (at, counts) is (shift, ks), certified is True, and no
-       cut is counted;
-    2. otherwise the search: the ks[b] lowest levels of block b by one
-       shift-invert pass (`_lowest_near`) each, the first from start (by
-       default one below the first block's Gershgorin bound) and each next
-       from the previous block's shift, so that both sectors are normally
-       solved at one shift: their rounding errors are then correlated and
-       cancel in E1 - E0 (at lam = 45, b = 0.05, n = 320, Delta0 moved by
-       8e-9 relative between two ARPACK seeds with the odd shift at the even
-       ground, and by 3e-10 with one common shift).  The counts of the
-       blocks (`count_below`) at = cut(levels), the ascending solved levels,
-       are returned with it, and certified is True when they are the number
-       of solved levels of each block below it: then no level below the cut
-       was missed;
+    1. the ks[b] lowest levels of block b by one shift-invert pass
+       (`_lowest_levels`) each, at the first shift that counts exactly ks[b]
+       or no levels of the block below it, the first block's search from
+       shift and each next from the previous block's shift, so that both
+       sectors are normally solved at one shift: their rounding errors are
+       then correlated and cancel in E1 - E0 (at lam = 45, b = 0.05,
+       n = 320, Delta0 moved by 8e-9 relative between two ARPACK seeds with
+       the odd shift at the even ground, and by 3e-10 with one common
+       shift).  A block with no wanted level is only counted, at that shift,
+       while every block before it counts its ks[b] there;
+    2. when every block ends at one shift with counts ks, those counts are
+       the certificate: (at, counts) is (that shift, ks), and no cut is
+       counted.
+       Otherwise the counts of the blocks (`count_below`) at
+       at = cut(levels), the ascending solved levels, are.  certified is
+       True when the counts are the number of solved levels of each block
+       below at: then no level below it was missed;
     3. the lowest keep of all solved levels, ascending, as full-size fields
        (`unfold_parity`) verified against op (`_verified_result`), with the
-       shift and count of each block LU behind them.
+       shift and count of each block's last LU behind them.
     """
-    if shift is not None:
-        solved = _solved_below(blocks, ks, shift, seed)
-        if solved is not None:
-            res, _ = _block_result(op, blocks, solved, keep,
-                                   [shift] * len(blocks), ks)
-            return res, (shift, tuple(ks)), True
-    sigma = _gershgorin_bound(blocks[0]) - 1.0 if start is None else start
-    solved, shifts = [], []
-    for B, k in zip(blocks, ks):
-        if k == 0:
-            solved.append(_NONE_SOLVED)
+    sigma, levels, shifts, counts = shift, [], [], []
+    for b, (B, k) in enumerate(zip(blocks, ks)):
+        if k:
+            vals, vecs, sigma, below = _lowest_levels(B, k, sigma, seed)
+            levels += [(vals[j], b, vecs[:, j]) for j in range(k)]
+        elif counts == list(ks[:b]) and set(shifts) == {sigma}:
+            below = count_below(B, sigma)
+        else:
             continue
-        vals, vecs, sigma = _lowest_near(B, k, sigma, seed)
-        solved.append((vals, vecs))
         shifts.append(sigma)
-    res, levels = _block_result(op, blocks, solved, keep, shifts,
-                                [0] * len(shifts))
-    at = cut(np.array([e for e, _, _ in levels]))
-    below = tuple(count_below(B, at) for B in blocks)
+        counts.append(below)
+    levels.sort(key=lambda lv: lv[0])
+    if counts == list(ks) and set(shifts) == {sigma}:
+        at, below = sigma, tuple(ks)
+    else:
+        at = cut(np.array([e for e, _, _ in levels]))
+        below = tuple(count_below(B, at) for B in blocks)
     solved_below = tuple(sum(1 for e, o, _ in levels if o == b and e < at)
                          for b in range(len(blocks)))
-    return res, (at, below), below == solved_below
-
-
-def _block_result(op: SparseHermitianOp, blocks, solved, keep: int,
-                  shifts: Sequence[float], counts: Sequence[int]):
-    """(SpectralResult, levels): the lowest keep of the solved levels of the
-    blocks, ascending, as full-size fields (`unfold_parity`) verified
-    against op (`_verified_result`); levels are all solved (value, block,
-    block vector), ascending."""
-    levels = sorted(((vals[j], b, vecs[:, j])
-                     for b, (vals, vecs) in enumerate(solved)
-                     for j in range(len(vals))), key=lambda lv: lv[0])
     fields = [v if len(blocks) == 1 else unfold_parity(v, (1, -1)[b])
               for _, b, v in levels[:keep]]
     res = _verified_result(op, [e for e, _, _ in levels[:keep]],
                            np.stack(fields, axis=1), shifts=shifts,
                            counts=counts)
-    return res, levels
+    return res, (at, below), below == solved_below
 
 
 def certified_ground(op: SparseHermitianOp, shift: float,
-                     start: Optional[float], seed: int) -> SpectralResult:
+                     seed: int) -> SpectralResult:
     """The ground level of op, which must commute with x -> -x, proven the
     lowest by inertia counts: the even block's lowest level
-    (`_certified_levels` with one even and no odd level wanted), counted and
-    solved on the LUs at shift when one even and no odd level lies below it,
-    else searched from start and certified by the counts at
-    E0 + CUT_RTOL * max(|E0|, 1).
+    (`_certified_levels` with one even and no odd level wanted), searched
+    from shift.  When the even block's LU counts one level and the odd
+    block's none at one shift, those counts prove it; otherwise the counts
+    at E0 + CUT_RTOL * max(|E0|, 1) do.
 
     Raises ValueError when op does not commute with x -> -x, and
-    EigensolverError, naming both counts, when the search's counts do not
-    put the even level lowest.
+    EigensolverError, naming both counts, when the counts do not put the
+    even level lowest.
     """
     blocks, defect = _parity_sectors(op.matrix)
     if blocks is None:
         raise ValueError("the operator does not commute with x -> -x "
                          "(||H - PHP||_max = %.3g)" % defect)
     res, (cut, (even, odd)), certified = _certified_levels(
-        op, blocks, (1, 0), 1, shift, start, seed,
+        op, blocks, (1, 0), 1, shift, seed,
         lambda e: e[0] + CUT_RTOL * max(abs(e[0]), 1.0))
     if not certified:
         raise EigensolverError(

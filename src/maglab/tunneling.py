@@ -8,14 +8,14 @@ positive.  Delta0 = E1 - E0 of the double-well operator; when the operator
 commutes with x -> -x (symmetric wells, symmetric gauge) E0 and E1 are the
 ground levels of its even and odd parts, and `splitting_direct` solves the two
 half-size parity blocks instead of the full lattice.  Every level reported is
-solved and proven by one routine, `spectral._certified_levels`: at a candidate
-shift where each block's inertia count is the number of wanted levels, those
-levels are solved on the LUs that count them; otherwise one shift-invert pass
-per block at a near shift under which a count finds no level, then counts per
-block at the caller's cut.  A sweep point (`ratio_point`) solves for E0, E1
-alone, each block at the single well's ground plus the hopping estimate
-2|rho0| of the splitting, and counts prove the pair isolated and tell whether
-it is separated without computing E2.  The quasimodes are Riesz
+solved and proven by one routine, `spectral._certified_levels`: each block's
+shift is lowered from the caller's start until its inertia count is the
+number of wanted levels or none, and one shift-invert pass solves them on
+that LU; the counts at one shared shift, or else counts per block at the
+caller's cut, prove them the lowest.  A sweep point (`ratio_point`) solves
+for E0, E1 alone, each block at the single well's ground plus the hopping
+estimate 2|rho0| of the splitting, and counts prove the pair isolated and
+tell whether it is separated without computing E2.  The quasimodes are Riesz
 projections of magnetically translated, cut-off oscillator ground states; their
 2x2 Gramian G and energy matrix M reproduce the splitting through
 sqrt(sigma)/|det G| with sigma = tr(adj(G) M)^2 - 4 det(G) det(M).
@@ -114,11 +114,11 @@ def lattice_grid(params: ModelParams, n: int):
 def _oscillator_level(params: ModelParams,
                      spec: Optional[WellSpec] = None) -> float:
     """-lam^2 + Re E0 of `mho_reference`: the ground level of the well's
-    quadratic approximation, where the shift search of the eigen-solves
-    starts when no candidate shift counts the wanted levels.  It is only a
+    quadratic approximation, where `splitting_direct` and the CLI's
+    spectrum command start their shift search by default.  It is only a
     hint (at lam = 20, a = 0.1 it lies above E0 and E1 of the double well,
     at lam = 45 far below them): the inertia count lowers a start inside the
-    spectrum until none lies below it."""
+    spectrum until it counts the wanted levels or none."""
     return -params.lam ** 2 + float(np.real(mho_reference(params, spec).E0))
 
 
@@ -128,13 +128,13 @@ def single_well_ground(params: ModelParams, n: int,
     `lattice_grid`; op.params carries the snapped d1.
 
     The operator commutes with x -> -x, and its ground level is the even
-    block's lowest (`spectral.certified_ground`), counted and solved at the
-    shift min(0, R) when one even and no odd level lies below it there,
-    else searched from the oscillator level.  0 is the top of the well
-    (v in [-1, 0]), and R the Rayleigh quotient of the oscillator ground
-    state (`mho_ground_field`), at or above E0 by the variational principle.
-    So min(0, R) counts what 0 counts whenever E0 < 0 and no other level
-    lies below 0, and it is nearer E0 when the oscillator is a good trial
+    block's lowest (`spectral.certified_ground`), searched from the shift
+    min(0, R): it is counted and solved there when one even and no odd
+    level lies below it.  0 is the top of the well (v in [-1, 0]), and R
+    the Rayleigh quotient of the oscillator ground state
+    (`mho_ground_field`), at or above E0 by the variational principle.  So
+    min(0, R) counts what 0 counts whenever E0 < 0 and no other level lies
+    below 0, and it is nearer E0 when the oscillator is a good trial
     field.  The shift-invert pass converges at the rate
     (E_a - sigma) / (sigma - E0), with E_a the next level above sigma: at
     lam = 45, n = 320 the well's one bound level E0 = -595 lies far below
@@ -147,9 +147,7 @@ def single_well_ground(params: ModelParams, n: int,
     psi = mho_ground_field(mho_reference(params, spec), grid).flat()
     rayleigh = float(np.vdot(psi, op.matrix @ psi).real
                      / np.vdot(psi, psi).real)
-    return (certified_ground(op, min(0.0, rayleigh),
-                             _oscillator_level(params, spec), seed),
-            op)
+    return certified_ground(op, min(0.0, rayleigh), seed), op
 
 
 @dataclass
@@ -352,17 +350,19 @@ class SplittingResult:
     path: str               # "parity" (even/odd sector solve) or "full"
     parity_defect: float    # ||H - PHP||_max, P: x -> -x
     # the certificate by inertia counts, one per block (even and odd sector,
-    # or H itself): pair_counts levels, one per sector or two of H, lie
-    # below the shift or cut that proves E0, E1 the two lowest levels
-    # (`splitting_direct`; spectral.shifts and spectral.counts give each
-    # block's count at its shift); separation_counts are the counts at
-    # E1 + SEPARATION_FACTOR * Delta0 (None when E2 is computed)
+    # or H itself): pair_counts levels lie below the shift or cut that proves
+    # E0, E1 the two lowest levels (`splitting_direct`): at a cut one per
+    # sector or two of H; at a shift every block's solved levels, and then
+    # pair_counts equal spectral.counts (spectral.shifts and spectral.counts
+    # give each block's count at its shift); separation_counts are the
+    # counts at E1 + SEPARATION_FACTOR * Delta0 (None when E2 is computed)
     pair_counts: Tuple[int, ...]
     separation_counts: Optional[Tuple[int, ...]] = None
 
     @property
     def pair_count(self) -> int:
-        """The number of levels below the certifying cut: 2."""
+        """The number of levels below the certifying shift or cut: 2, or 3
+        where one shift counts E0, E1 and E2 of H."""
         return sum(self.pair_counts)
 
 
@@ -376,30 +376,30 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
 
     The levels are solved and proven by `spectral._certified_levels`: k = 2
     per parity sector with E2 (the smaller second in-sector level), k = 1
-    without.
-    - With E2, the shift search starts from start, by default the
-      oscillator level, and the counts at the cut (E1 + E2)/2 prove E0, E1
-      the two lowest levels and no other level below the cut; a level in
-      [(E1 + E2)/2, E2) would escape them, so E2 is the third level only if
-      none lies there.
-    - Without E2, start is first tried as the shift that counts the pair:
-      when one level per sector (two of H) lies below it, they are solved
-      on the LUs that count them, and those counts are the certificate.
-      `ratio_point` passes the single well's ground plus its hopping
-      estimate 2|rho0| of the splitting, which lies between E1 and E2 at
-      the sweep points.  Otherwise the search lowers start, and the counts
-      at E1 + CUT_RTOL * max(|E1|, 1) certify the pair.  Either way the
-      counts at E1 + SEPARATION_FACTOR * Delta0 (separation_counts) tell
-      whether the pair is separated, with no third solve.
+    without.  Each block's shift is lowered from start, by default the
+    oscillator level, until it counts k levels of the block or none, and
+    they are solved on that LU.  When every block counts its k levels at
+    one shift, those counts are the certificate: `ratio_point` passes the
+    single well's ground plus its hopping estimate 2|rho0| of the
+    splitting, which lies between E1 and E2 at the sweep points, so the
+    pair is counted and solved at start.  Otherwise the counts at a cut
+    certify the levels:
+    - with E2, at (E1 + E2)/2: they prove E0, E1 the two lowest levels and
+      no other level below the cut; a level in [(E1 + E2)/2, E2) would
+      escape them, so E2 is the third level only if none lies there;
+    - without E2, at E1 + CUT_RTOL * max(|E1|, 1).
+    Without E2 the counts at E1 + SEPARATION_FACTOR * Delta0
+    (separation_counts) tell whether the pair is separated, with no third
+    solve.
 
     One rule picks the path.  The "parity" path stands when H commutes with
     the grid reflection P (x -> -x), which holds for the symmetric double
     well in the symmetric gauge, and the certificate counts one level per
     sector: E0 and E1 are then the ground levels of the even and odd blocks.
     Otherwise (a shifted gauge origin, unequal or off-axis wells, a pair
-    within one sector, a count that disagrees) the "full" path solves the
-    k + 1 lowest levels of H itself, and a count that disagrees there
-    raises EigensolverError.
+    within one sector, a shift that counts two levels per sector, a count
+    that disagrees) the "full" path solves the k + 1 lowest levels of H
+    itself, and a count that disagrees there raises EigensolverError.
 
     The near shifts keep the absolute eigenvalue error ~eps * |E - sigma|
     small against the splitting, which can be many orders smaller than E0.
@@ -407,7 +407,6 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
     M = op.matrix
     start = _oscillator_level(op.params) if start is None else start
     k = 2 if with_e2 else 1
-    shift = None if with_e2 else start
 
     def cut(e):
         if with_e2:
@@ -418,12 +417,12 @@ def splitting_direct(op: SparseHermitianOp, seed: int = 0,
     path, certified = "parity", False
     if blocks is not None:
         res, (at, counts), certified = _certified_levels(
-            op, blocks, (k, k), k + 1, shift, start, seed, cut)
+            op, blocks, (k, k), k + 1, start, seed, cut)
         certified = certified and counts == (1, 1)
     if not certified:
         path, blocks = "full", (M,)
         res, (at, counts), certified = _certified_levels(
-            op, blocks, (k + 1,), k + 1, shift, start, seed, cut)
+            op, blocks, (k + 1,), k + 1, start, seed, cut)
     e = res.eigenvalues
     delta = e[1] - e[0]
     if not certified:

@@ -8,7 +8,6 @@ ratio sweep (test 6, about 19 s), the 2x2 splitting identity (test 5, about
 """
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -202,9 +201,7 @@ def test_acceptance_06_splitting_vs_hopping_ratio():
         devs = []
         for lam in (20.0, 30.0, 45.0):
             params = ModelParams(lam=lam, b=b, d1=3 * a, a=a)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # lam=20 cluster-gap warning
-                row = ratio_point(params, n, seed=seed)
+            row = ratio_point(params, n, seed=seed)
             assert 0.8 <= row.ratio <= 1.2, (b, lam, row.ratio)
             devs.append(abs(row.ratio - 1.0))
         assert devs[0] >= devs[1] >= devs[2], (b, devs)

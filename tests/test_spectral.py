@@ -67,17 +67,32 @@ def op56():
     return op, la.eigvalsh(op.matrix.toarray(), subset_by_index=[0, 4])
 
 
-def test_lowest_eigs_lowers_a_start_inside_the_spectrum(op56):
+def test_lowest_eigs_lowers_a_start_inside_the_spectrum(op56, monkeypatch):
     op, w = op56
     # below the spectrum the solve runs at the start itself ...
     res = lowest_eigs(op, k=2, start=w[0] - 1.0)
     np.testing.assert_allclose(res.eigenvalues, w[:2], rtol=1e-10)
     assert res.shifts == [w[0] - 1.0]
     # ... between E0 and E1 the count finds E0 below it, and the shift is
-    # lowered under E0 before the solve, which then gives E0 and E1
+    # lowered under E0 before the solve, which then gives E0 and E1 ...
     res = lowest_eigs(op, k=2, start=0.5 * (w[0] + w[1]))
     np.testing.assert_allclose(res.eigenvalues, w[:2], rtol=1e-10)
-    assert res.shifts[0] < w[0]
+    assert res.shifts[0] < w[0] and res.counts == [0]
+    # ... and between E1 and E2 the count is exactly k = 2: the two levels
+    # below the start are solved there (which="SA")
+    start = 0.5 * (w[1] + w[2])
+    whiches = []
+    eigsh = spla.eigsh
+
+    def recording_eigsh(A, *args, **kwargs):
+        whiches.append(kwargs["which"])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    res = lowest_eigs(op, k=2, start=start)
+    np.testing.assert_allclose(res.eigenvalues, w[:2], rtol=1e-10)
+    assert res.shifts == [start] and res.counts == [2]
+    assert whiches == ["SA"]
 
 
 def test_shift_invert_hands_one_minimum_degree_lu_to_arpack(monkeypatch):

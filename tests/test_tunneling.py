@@ -353,12 +353,14 @@ def test_splitting_carries_count_certificate(dense_b005):
 
 
 def test_splitting_raises_when_a_count_disagrees(monkeypatch):
+    # 5 is neither 0 nor the wanted 2 per sector or 3 of H, so every shift
+    # is lowered to the Gershgorin bound, and the counts at the cut decide
     op = small_double_well(0.05)
-    monkeypatch.setattr(spectral, "_negative_pivots", lambda lu: 3)
+    monkeypatch.setattr(spectral, "_negative_pivots", lambda lu: 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EigensolverError,
-                           match=r"3 level\(s\) lie below .* put 2"):
+                           match=r"5 level\(s\) lie below .* put 2"):
             splitting_direct(op, seed=0)
 
 
@@ -400,7 +402,7 @@ def test_certified_levels_count_once_at_the_cut(monkeypatch):
             (lambda e: e[1] + 2 * (e[1] - e[0]), (2, 2), False)):
         counted.clear()
         res, (at, below), ok = spectral._certified_levels(
-            op, blocks, (1, 1), 2, None, _oscillator_level(op.params), 0,
+            op, blocks, (1, 1), 2, _gershgorin_bound(blocks[0]) - 1.0, 0,
             cut)
         assert (below, ok) == (counts, certified)
         assert counted == [at, at]
@@ -628,20 +630,38 @@ def test_ratio_point_solves_on_the_lus_that_count(monkeypatch, lam,
 
 
 def test_a_candidate_shift_that_miscounts_falls_back_to_the_search(
-        dense_b005):
+        dense_b005, monkeypatch):
     # between E1 and E2 the sectors count (1, 1) and the pair is solved
-    # there; below E0 they count (0, 0), and the search gives the same pair
+    # there; below E0 they count (0, 0), and the search gives the same pair;
+    # above E3 they count (2, 2), and each block's shift is lowered to its
+    # first one that counts one level, the odd block's from the even
+    # block's, where the pair is solved
     op, w = dense_b005
     blocks = parity_blocks(op.matrix)
-    at = 0.5 * (w[1] + w[2])
+    at, above = 0.5 * (w[1] + w[2]), w[3] + 0.1
     assert [count_below(B, at) for B in blocks] == [1, 1]
+    assert [count_below(B, above) for B in blocks] == [2, 2]
     counted = splitting_direct(op, seed=0, start=at, with_e2=False)
     assert counted.spectral.shifts == [at, at]
     assert counted.spectral.counts == [1, 1]
     searched = splitting_direct(op, seed=0, start=w[0] - 1.0, with_e2=False)
     assert all(s < w[0] for s in searched.spectral.shifts)
     assert searched.spectral.counts == [0, 0]
-    for sd in (counted, searched):
+    factorized = []
+    shifted = spectral._shifted
+
+    def recording(M, sigma):
+        factorized.append((id(M), sigma))
+        return shifted(M, sigma)
+
+    monkeypatch.setattr(spectral, "_shifted", recording)
+    lowered = splitting_direct(op, seed=0, start=above, with_e2=False)
+    monkeypatch.undo()
+    even, odd = lowered.spectral.shifts         # E0, E3 even; E1, E2 odd
+    assert w[1] < odd < w[2] and odd <= even < w[3]
+    assert lowered.spectral.counts == [1, 1]
+    assert len(set(factorized)) == len(factorized)
+    for sd in (counted, searched, lowered):
         assert sd.path == "parity" and sd.pair_counts == (1, 1)
         assert sd.separation_counts == (2, 2) and not sd.cluster_separated
         np.testing.assert_allclose(sd.energies, w[:2], rtol=1e-9)
@@ -650,14 +670,30 @@ def test_a_candidate_shift_that_miscounts_falls_back_to_the_search(
                                rtol=1e-12)
     assert abs(counted.delta - searched.delta) <= 1e-10 * searched.delta
 
+    # the sweep point of test_cli's test_sweep_cache_and_plot_roundtrip, 9
+    # LUs: the single well's ground lies above 0, where the even block
+    # counts no level and is solved, and two counts at E0 + 1e-8 certify
+    # it; the pair's shift counts (1, 0), where both sectors are solved,
+    # and two counts at E1 + 1e-8 certify them; two more count at
+    # E1 + 2 Delta0
+    lus = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        lus.append(args[0].shape[0])
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    row = ratio_point(ModelParams(lam=8.0, b=0.0, d1=0.45, a=0.2), 96)
+    assert len(lus) == 9 and not row.separated
+
     # the single well: no level below a shift under its ground, where the
-    # even block counts 0, not 1; the search from the oscillator level
-    # gives the ground level of the shift at the top of the well
+    # even block counts 0, not 1, and the pass nearest that shift gives the
+    # ground level of the shift at the top of the well
     params = ModelParams(lam=20.0, b=0.05, d1=0.3, a=0.1)
     res, sw = single_well_ground(params, 184, seed=0)
     assert res.shifts == [0.0, 0.0] and res.counts == [1, 0]
-    low = spectral.certified_ground(sw, res.eigenvalues[0] - 1.0,
-                                    _oscillator_level(params), 0)
+    low = spectral.certified_ground(sw, res.eigenvalues[0] - 1.0, 0)
     assert low.counts == [0] and low.shifts[0] < res.eigenvalues[0]
     assert abs(low.eigenvalues[0] - res.eigenvalues[0]) \
         <= 1e-12 * abs(res.eigenvalues[0])
@@ -673,8 +709,7 @@ def test_deep_single_well_is_solved_at_its_oscillator_rayleigh_quotient():
     rq = np.vdot(psi, sw.matrix @ psi).real / np.vdot(psi, psi).real
     assert res.eigenvalues[0] < rq < 0.0
     assert res.shifts == [rq, rq] and res.counts == [1, 0]
-    low = spectral.certified_ground(sw, res.eigenvalues[0] - 1.0,
-                                    _oscillator_level(sw.params), 0)
+    low = spectral.certified_ground(sw, res.eigenvalues[0] - 1.0, 0)
     assert low.counts == [0]
     assert abs(low.eigenvalues[0] - res.eigenvalues[0]) \
         <= 1e-12 * abs(res.eigenvalues[0])
