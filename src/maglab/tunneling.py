@@ -235,6 +235,8 @@ class QuasimodePair:
     rank_estimate: float         # the levels the contour encloses, counted
     nodes: int                   # quadrature nodes m used, after any doubling
     idempotence_defect: float    # max over the pair of ||Pi^2 f - Pi f||/||f||
+    backward_error: float        # max normwise backward error of the node solves
+    basis_columns: int           # columns of the shifted Krylov basis
 
 
 def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
@@ -248,10 +250,12 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     `splitting_direct`.
 
     `spectral.riesz_project` counts the levels inside the contour by two
-    inertia counts and raises spectral.ClusterError unless they are 2,
-    before any contour LU; then one sweep over the m/2 contour nodes
-    projects the pair (m/2 LUs, one alive at a time), and a failed
-    idempotence check doubles m.  rank_estimate is that count, exactly 2.0.
+    inertia counts and raises spectral.ClusterError unless they are 2; then
+    every contour node solves for the pair on the LU of the second count,
+    by one shifted block Krylov basis, and a failed idempotence check
+    doubles m on the same basis: 2 LUs in all.  rank_estimate is that
+    count, exactly 2.0; backward_error and basis_columns are the largest
+    normwise backward error of the node solves and the basis size.
     rank_probes and seed are not used, and no result depends on them; they
     are kept only for the callers that pass them.
     """
@@ -267,11 +271,12 @@ def quasimodes(params: ModelParams, op: SparseHermitianOp, contour: Contour,
     phi_plus = magnetic_translate(base, (+d1s, 0.0), blam)
     phi_minus = magnetic_translate(base, (-d1s, 0.0), blam)
 
-    (psi_minus, psi_plus), rank, nodes, defect = riesz_project(
-        op, contour, [phi_minus, phi_plus], rank=2)
+    (psi_minus, psi_plus), rank, nodes, defect, backward, columns = \
+        riesz_project(op, contour, [phi_minus, phi_plus], rank=2)
     return QuasimodePair(psi_minus=psi_minus, psi_plus=psi_plus,
                          contour=contour, rank_estimate=float(rank),
-                         nodes=nodes, idempotence_defect=defect)
+                         nodes=nodes, idempotence_defect=defect,
+                         backward_error=backward, basis_columns=columns)
 
 
 @dataclass

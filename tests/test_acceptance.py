@@ -1,10 +1,11 @@
 """End-to-end acceptance criteria.
 
 Each test pins one headline guarantee of the package with frozen parameters,
-seeds, and tolerances.  The full file takes about 35 s on a 2-vCPU Xeon VM
+seeds, and tolerances.  The full file takes about 43 s on a 2-vCPU Xeon VM
 with BLAS threads not pinned; the heavy items are the splitting-vs-hopping
-ratio sweep (test 6, about 19 s), the 2x2 splitting identity (test 5, about
-10 s) and the fine-lattice resolvent residual (test 4, about 5 s).
+ratio sweep (test 6, about 26 s), the fine-lattice resolvent residual
+(test 4, about 8 s) and the 2x2 splitting identity (test 5, about 5 s, of
+which the quasimode projection takes about 2.5 s).
 """
 
 import math

@@ -9,12 +9,16 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from maglab.grid_model import Field, Grid2D, ModelParams, build_operator
+from maglab import spectral
 from maglab.spectral import (
     ClusterError,
     Contour,
+    ContourSolveError,
     EigensolverError,
+    _factor_hermitian,
     _gershgorin_bound,
-    _sweep,
+    _shifted,
+    _ShiftedKrylov,
     _verified_result,
     count_below,
     lowest_eigs,
@@ -138,7 +142,7 @@ def test_riesz_projector_matches_dense_projector():
     vec = rng.standard_normal(op.dimension) \
         + 1j * rng.standard_normal(op.dimension)
     f = Field(op.grid, vec.reshape(op.grid.n, op.grid.n))
-    (pf,), _, _, _ = riesz_project(op, contour, [f], rank=2)
+    (pf,), *_ = riesz_project(op, contour, [f], rank=2)
     exact = V[:, :2] @ (V[:, :2].conj().T @ vec)
     assert np.linalg.norm(pf.flat() - exact) <= 1e-8 * np.linalg.norm(vec)
 
@@ -150,13 +154,13 @@ def test_riesz_projector_idempotent_and_commutes():
     rng = np.random.default_rng(1)
     vec = rng.standard_normal(op.dimension).astype(complex)
     f = Field(op.grid, vec.reshape(op.grid.n, op.grid.n))
-    (pf,), _, _, _ = riesz_project(op, contour, [f], rank=2)
-    (ppf,), _, _, _ = riesz_project(op, contour, [pf], rank=2)
+    (pf,), *_ = riesz_project(op, contour, [f], rank=2)
+    (ppf,), *_ = riesz_project(op, contour, [pf], rank=2)
     assert np.linalg.norm(ppf.flat() - pf.flat()) \
         <= 1e-7 * np.linalg.norm(vec)
     # commutation with the Hamiltonian
     hp = op.apply(pf)
-    (ph,), _, _, _ = riesz_project(op, contour, [op.apply(f)], rank=2)
+    (ph,), *_ = riesz_project(op, contour, [op.apply(f)], rank=2)
     assert np.linalg.norm(hp.flat() - ph.flat()) \
         <= 1e-6 * np.linalg.norm(op.apply(f).flat())
 
@@ -168,7 +172,7 @@ def test_riesz_projector_accepts_field_lists():
     rng = np.random.default_rng(2)
     fs = [Field(op.grid, rng.standard_normal((op.grid.n, op.grid.n))
                 .astype(complex)) for _ in range(3)]
-    out, _, _, _ = riesz_project(op, contour, fs, rank=2)
+    out, *_ = riesz_project(op, contour, fs, rank=2)
     assert isinstance(out, list) and len(out) == 3
 
 
@@ -178,7 +182,7 @@ def test_projector_rank_estimate_counts_enclosed_levels(enclosed):
     w, _ = dense_eigs(op)
     contour = cluster_contour(w, enclosed, m=48)
     f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
-    _, est, _, _ = riesz_project(op, contour, [f], rank=enclosed)
+    _, est, *_ = riesz_project(op, contour, [f], rank=enclosed)
     assert est == enclosed
 
 
@@ -198,36 +202,115 @@ def pair_contour(w, m=32):
                    quadrature_nodes=m)
 
 
-def test_sweep_squares_the_projector_by_the_resolvent_identity():
+def test_node_solves_square_the_projector_by_the_resolvent_identity():
+    # Pi^2 f from the node solves of one basis (second solves on the same
+    # basis, summed by the resolvent identity) against Pi(Pi f), a second
+    # projection from a basis started at Pi f, on the same LU
     op = pair_op()
     w, _ = dense_eigs(op)
     contour = pair_contour(w)
     rng = np.random.default_rng(6)
     f = (rng.standard_normal((op.dimension, 2))
          + 1j * rng.standard_normal((op.dimension, 2)))
-    p1, p2 = _sweep(op, contour, f, 32)
-    explicit = _sweep(op, contour, p1, 32)[0]          # Pi(Pi f), two sweeps
+    sigma = contour.center.real - contour.radius
+    lu = _factor_hermitian(_shifted(op.matrix, sigma))
+    p1, p2, backward = _ShiftedKrylov(op.matrix, lu, sigma, f).project(
+        contour, 32)
+    explicit = _ShiftedKrylov(op.matrix, lu, sigma, p1).project(contour,
+                                                                32)[0]
     assert np.linalg.norm(p2 - explicit) <= 1e-12 * np.linalg.norm(explicit)
+    assert backward <= spectral.BACKWARD_TOL
 
 
-def test_idempotence_doubling_costs_one_sweep_per_node_count(monkeypatch):
-    op = pair_op()
-    w, _ = dense_eigs(op)
-    contour = pair_contour(w, m=16)         # defect ~ rho^16 > 1e-8 at m = 16
+class _TrackedLU:
+    """SuperLU proxy that counts the factorizations alive."""
+    alive = 0
+
+    def __init__(self, lu):
+        self._lu = lu
+        _TrackedLU.alive += 1
+
+    def __del__(self):
+        _TrackedLU.alive -= 1
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def track_lus(monkeypatch):
+    """Route every sparse LU through `_TrackedLU`; the returned list gets,
+    per factorization, whether it pivots on the diagonal only (the
+    `_factor_hermitian` LU) and the LUs alive when it was made."""
     calls = []
     splu = spla.splu
 
-    def counting_splu(A, *args, **kwargs):
-        calls.append(1)
-        return splu(A, *args, **kwargs)
+    def tracked_splu(A, *args, **kwargs):
+        calls.append((kwargs.get("diag_pivot_thresh") == 0, _TrackedLU.alive))
+        return _TrackedLU(splu(A, *args, **kwargs))
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "splu", tracked_splu)
+    return calls
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_projection_makes_two_lus_with_or_without_doubling(monkeypatch, m):
+    op = pair_op()
+    w, V = dense_eigs(op)
+    contour = pair_contour(w, m=m)          # defect ~ rho^16 > 1e-8 at m = 16
+    calls = track_lus(monkeypatch)
     f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
-    _, est, nodes, defect = riesz_project(op, contour, [f], rank=2)
-    assert nodes == 32 and defect <= 1e-8
-    # two counts, then m/2 at m = 16 and m/2 at 32
-    assert len(calls) == 2 + 16 // 2 + 16
-    assert est == 2
+    (pf,), est, nodes, defect, backward, columns = riesz_project(
+        op, contour, [f], rank=2)
+    assert nodes == 32 and defect <= 1e-8 and est == 2
+    # the counts at c + r and c - r, the second LU serving every node of
+    # both node counts, made after the first is freed
+    assert calls == [(True, 0), (True, 0)] and _TrackedLU.alive == 0
+    assert backward <= spectral.BACKWARD_TOL
+    assert 2 <= columns <= spectral.MAX_BASIS_COLUMNS
+    vec = f.flat()
+    exact = V[:, :2] @ (V[:, :2].conj().T @ vec)
+    assert np.linalg.norm(pf.flat() - exact) <= 1e-8 * np.linalg.norm(vec)
+
+
+def test_idempotence_failure_is_a_cluster_error(monkeypatch):
+    op = pair_op()
+    w, _ = dense_eigs(op)
+    monkeypatch.setattr(spectral, "MAX_DOUBLINGS", 0)
+    f = Field(op.grid, np.ones((op.grid.n, op.grid.n), dtype=complex))
+    with pytest.raises(ClusterError, match="idempotence defect .* at m=16"):
+        riesz_project(op, pair_contour(w, m=16), [f], rank=2)
+
+
+def test_basis_cap_of_one_block_raises_contour_solve_error(monkeypatch):
+    op = pair_op()
+    w, _ = dense_eigs(op)
+    monkeypatch.setattr(spectral, "MAX_BASIS_COLUMNS", 2)
+    rng = np.random.default_rng(7)
+    fs = [Field(op.grid, rng.standard_normal((op.grid.n, op.grid.n))
+                .astype(complex)) for _ in range(2)]
+    with pytest.raises(ContourSolveError, match="basis of 2 columns"):
+        riesz_project(op, pair_contour(w), fs, rank=2)
+
+
+def test_outside_level_at_1_8_radii_matches_dense_projector():
+    # the third level at 1.8 r from the centre, just beyond the 1.78 r that
+    # an idempotence defect of 1e-8 at m = 32 implies: its pole in the
+    # shift-inverted variable lies closest to the nodes
+    op = pair_op()
+    w, V = dense_eigs(op)
+    center = 0.5 * (w[0] + w[1])
+    radius = (w[2] - center) / 1.8
+    assert w[1] - center < radius
+    contour = Contour(center=complex(center), radius=float(radius),
+                      quadrature_nodes=32)
+    rng = np.random.default_rng(8)
+    vec = rng.standard_normal(op.dimension) \
+        + 1j * rng.standard_normal(op.dimension)
+    f = Field(op.grid, vec.reshape(op.grid.n, op.grid.n))
+    (pf,), est, nodes, _, backward, _ = riesz_project(op, contour, [f], rank=2)
+    assert est == 2 and nodes == 32 and backward <= spectral.BACKWARD_TOL
+    exact = V[:, :2] @ (V[:, :2].conj().T @ vec)
+    assert np.linalg.norm(pf.flat() - exact) <= 1e-8 * np.linalg.norm(vec)
 
 
 def test_fused_sweeps_reject_wrong_rank_before_doubling(monkeypatch):
@@ -248,40 +331,20 @@ def test_fused_sweeps_reject_wrong_rank_before_doubling(monkeypatch):
     assert calls == ["count", "count"]      # no contour LU
 
 
-class _TrackedLU:
-    """SuperLU proxy that counts the factorizations alive."""
-    alive = 0
-
-    def __init__(self, lu):
-        self._lu = lu
-        _TrackedLU.alive += 1
-
-    def __del__(self):
-        _TrackedLU.alive -= 1
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-
-def test_quasimodes_factorizes_each_node_once(monkeypatch):
+def test_quasimodes_makes_two_lus(monkeypatch):
     op = pair_op()
     w, _ = dense_eigs(op)
-    alive_at_call = []
-    splu = spla.splu
-
-    def tracked_splu(A, *args, **kwargs):
-        alive_at_call.append(_TrackedLU.alive)
-        return _TrackedLU(splu(A, *args, **kwargs))
-
-    monkeypatch.setattr(spla, "splu", tracked_splu)
+    calls = track_lus(monkeypatch)
     qm = quasimodes(op.params, op, contour=pair_contour(w, m=32),
                     rank_probes=6, seed=0)
-    # two counts, then one sweep over the m/2 = 16 nodes for the pair, with
-    # no doubling and one LU alive at a time
-    assert alive_at_call == [0] * 18 and _TrackedLU.alive == 0
+    # the two counts, one alive at a time; every node of the pair solves
+    # on the second
+    assert calls == [(True, 0), (True, 0)] and _TrackedLU.alive == 0
     assert qm.rank_estimate == 2.0
     assert qm.nodes == 32
     assert 0.0 <= qm.idempotence_defect <= 1e-8
+    assert 0.0 < qm.backward_error <= spectral.BACKWARD_TOL
+    assert qm.basis_columns % 2 == 0
 
 
 def test_count_below_matches_dense_eigvalsh(op56):
@@ -315,10 +378,10 @@ def test_count_below_rejects_off_diagonal_pivots(monkeypatch):
 
 
 def test_contour_rejects_a_centre_off_the_real_axis():
-    # the sweep pairs each node with its conjugate, which is a node of the
-    # circle only when the centre is real; the pair circle moved up by
-    # 0.2i * radius still encloses the same two levels, and is refused
-    # before any node is factorized
+    # the counts span the circle's diameter and every node solves on the
+    # LU at its left end, both on the real axis only when the centre is
+    # real; the pair circle moved up by 0.2i * radius still encloses the
+    # same two levels, and is refused before any LU is made
     w, _ = dense_eigs(pair_op())
     c = pair_contour(w)
     with pytest.raises(ValueError, match="not real"):

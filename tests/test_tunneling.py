@@ -715,7 +715,7 @@ def test_deep_single_well_is_solved_at_its_oscillator_rayleigh_quotient():
         <= 1e-12 * abs(res.eigenvalues[0])
 
 
-def test_quasimodes_count_the_pair_at_the_benchmark_geometry():
+def test_quasimodes_count_the_pair_at_the_benchmark_geometry(monkeypatch):
     # the 2x2 identity at lam = 16 on n = 136, the benchmark's point: the
     # two inertia counts put exactly the pair inside the contour, and the
     # Gramian defect lies within its budget 5 / sqrt(lam)
@@ -731,8 +731,20 @@ def test_quasimodes_count_the_pair_at_the_benchmark_geometry():
     center = (e0 + e1) / 2
     contour = Contour(center=complex(center),
                       radius=float(0.5 * (e2 - center)), quadrature_nodes=32)
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
     qm = quasimodes(params, op, spec=spec, contour=contour)
+    # two LUs, the counts at c + r and c - r, and every node's two solves
+    # on the second within 1e-13 normwise backward error
+    assert len(calls) == 2
     assert qm.rank_estimate == 2.0
+    assert qm.backward_error <= 1e-13
     red = gram_and_m(qm.psi_minus, qm.psi_plus, op)
     assert red.gram_defect <= red.gram_budget
     assert abs(red.splitting - sd.delta) <= 1e-6 * sd.delta
